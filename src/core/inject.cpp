@@ -70,15 +70,15 @@ sim::StoreGuard store_guard_for(const TestProgram& program) {
   return guard;
 }
 
-void GateLevelFaultInjector::check_target(CutId target) const {
+namespace {
+
+void check_target(CutId target) {
   if (target != CutId::kAlu && target != CutId::kShifter &&
       target != CutId::kMultiplier) {
     throw std::invalid_argument(
         "GateLevelFaultInjector: unsupported component");
   }
 }
-
-namespace {
 
 /// Rejects fault sites that do not exist in the netlist BEFORE they reach
 /// Evaluator::inject (whose force arrays are indexed without bounds
@@ -102,28 +102,33 @@ void validate_fault_site(const netlist::Netlist& nl,
 
 }  // namespace
 
-void GateLevelFaultInjector::init_fault(const fault::Fault& fault) {
+void GateLevelFaultInjector::init(const fault::Fault& fault) {
+  check_target(target_);
+  validate_fault_site(*nl_, fault);
   fault_ = fault;
   stream_key_ = fault::fault_stream_key(fault);
-  switch (fault.model) {
-    case fault::FaultModel::kStuckAt:
-      // Always-on: arm once, never toggle (the legacy code path).
-      if (comp_eval_) {
-        comp_eval_->inject_broadcast(fault.site, fault.stuck_value);
-      } else {
-        ref_eval_->inject_broadcast(fault.site, fault.stuck_value);
-      }
-      active_ = true;
+  port_a_ = &nl_->input_port("a");
+  switch (target_) {
+    case CutId::kAlu:
+      port_b_ = &nl_->input_port("b");
+      port_op_ = &nl_->input_port("op");
+      port_out_ = &nl_->output_port("result");
       break;
-    case fault::FaultModel::kTransition:
-      line_ = fault.site.is_output()
+    case CutId::kShifter:
+      port_b_ = &nl_->input_port("shamt");
+      port_op_ = &nl_->input_port("op");
+      port_out_ = &nl_->output_port("result");
+      break;
+    default:
+      port_b_ = &nl_->input_port("b");
+      port_out_ = &nl_->output_port("product");
+      break;
+  }
+  if (fault.model == fault::FaultModel::kTransition) {
+    line_ = std::make_unique<LineProbe>(
+        *nl_, fault.site.is_output()
                   ? fault.site.gate
-                  : nl_->gate(fault.site.gate).in[fault.site.pin];
-      line_eval_ = std::make_unique<netlist::Evaluator>(*nl_);
-      break;
-    case fault::FaultModel::kTransientSEU:
-    case fault::FaultModel::kIntermittent:
-      break;  // armed per operation by the activation stream
+                  : nl_->gate(fault.site.gate).in[fault.site.pin]);
   }
 }
 
@@ -131,122 +136,113 @@ GateLevelFaultInjector::GateLevelFaultInjector(const ProcessorModel& model,
                                                CutId target,
                                                const fault::Fault& fault)
     : target_(target), nl_(&model.component(target).netlist) {
-  check_target(target);
-  validate_fault_site(*nl_, fault);
+  init(fault);
   ref_eval_ = std::make_unique<netlist::Evaluator>(*nl_);
-  init_fault(fault);
 }
 
 GateLevelFaultInjector::GateLevelFaultInjector(GradingSession& session,
                                                CutId target,
                                                const fault::Fault& fault)
     : target_(target), nl_(&session.model().component(target).netlist) {
-  check_target(target);
-  validate_fault_site(*nl_, fault);
+  init(fault);
   comp_eval_ = std::make_unique<netlist::CompiledEvaluator>(
       session.compiled(target), /*event_driven=*/true);
-  init_fault(fault);
 }
 
 GateLevelFaultInjector::GateLevelFaultInjector(
     const netlist::Netlist& nl, const netlist::CompiledNetlist& compiled,
     CutId target, const fault::Fault& fault)
     : target_(target), nl_(&nl) {
-  check_target(target);
-  validate_fault_site(nl, fault);
+  init(fault);
   comp_eval_ = std::make_unique<netlist::CompiledEvaluator>(
       compiled, /*event_driven=*/true);
-  init_fault(fault);
 }
 
-void GateLevelFaultInjector::drive(const char* port, std::uint64_t value) {
-  if (comp_eval_) {
-    comp_eval_->set_bus(nl_->input_port(port), value);
-  } else {
-    ref_eval_->set_bus(nl_->input_port(port), value);
-  }
-  if (line_eval_) line_eval_->set_bus(nl_->input_port(port), value);
+template <class Eval>
+void GateLevelFaultInjector::drive_and_eval(Eval& ev, std::uint32_t op,
+                                            std::uint32_t a,
+                                            std::uint32_t b) const {
+  ev.set_bus(*port_a_, a);
+  ev.set_bus(*port_b_, b);
+  if (port_op_) ev.set_bus(*port_op_, op);
+  ev.eval();
 }
 
-void GateLevelFaultInjector::update_activation() {
-  bool on = active_;
+bool GateLevelFaultInjector::active(std::uint32_t op, std::uint32_t a,
+                                    std::uint32_t b) {
   switch (fault_.model) {
     case fault::FaultModel::kStuckAt:
-      return;  // armed at construction, nothing to do per op
+      return true;
     case fault::FaultModel::kTransition: {
       // Launch/capture at operation granularity: the slow transition only
       // corrupts this operation if the fault-free line sat at the slow value
-      // sv on the previous operation and should be !sv now. The first
-      // operation has no launch partner and is never corrupted.
-      line_eval_->eval();
-      const bool lv = line_eval_->value(line_) & 1u;
-      on = prev_line_sv_ && lv != fault_.stuck_value;
+      // sv on the previous operation and should be !sv now.
+      bool lv;
+      if (const std::uint64_t* hit = line_->memo.find(op, a, b)) {
+        lv = *hit != 0;
+      } else {
+        drive_and_eval(line_->eval, op, a, b);
+        lv = line_->eval.value(line_->line) & 1u;
+        line_->memo.store(op, a, b, lv);
+      }
+      const bool on = prev_line_sv_ && lv != fault_.stuck_value;
       prev_line_sv_ = lv == fault_.stuck_value;
-      break;
+      return on;
     }
     case fault::FaultModel::kTransientSEU:
     case fault::FaultModel::kIntermittent:
-      on = fault::fault_active(stream_key_, fault_.model, op_index_);
-      break;
+      return fault::fault_active(stream_key_, fault_.model, op_index_++);
   }
-  ++op_index_;
-  if (on == active_) return;
-  if (comp_eval_) {
-    if (on) {
-      comp_eval_->inject_broadcast(fault_.site, fault_.stuck_value);
-    } else {
-      comp_eval_->release_broadcast(fault_.site);
-    }
-  } else {
-    if (on) {
-      ref_eval_->inject_broadcast(fault_.site, fault_.stuck_value);
-    } else {
-      ref_eval_->release_broadcast(fault_.site);
-    }
-  }
-  active_ = on;
+  return true;
 }
 
-std::uint64_t GateLevelFaultInjector::read(const char* port) {
-  update_activation();
-  if (comp_eval_) {
-    comp_eval_->eval();
-    return comp_eval_->bus_value(nl_->output_port(port));
-  }
-  ref_eval_->eval();
-  return ref_eval_->bus_value(nl_->output_port(port));
+std::uint64_t GateLevelFaultInjector::faulty_result(std::uint32_t op,
+                                                    std::uint32_t a,
+                                                    std::uint32_t b) {
+  if (const std::uint64_t* hit = results_.find(op, a, b)) return *hit;
+  // The evaluator only ever runs with the force armed, so each evaluation
+  // computes the faulty function of the tuple it is driven with.
+  const auto evaluate = [&](auto& ev) {
+    if (!armed_) ev.inject_broadcast(fault_.site, fault_.stuck_value);
+    armed_ = true;
+    drive_and_eval(ev, op, a, b);
+    return ev.bus_value(*port_out_);
+  };
+  const std::uint64_t r =
+      comp_eval_ ? evaluate(*comp_eval_) : evaluate(*ref_eval_);
+  results_.store(op, a, b, r);
+  return r;
+}
+
+std::uint64_t GateLevelFaultInjector::resolve(std::uint32_t op,
+                                              std::uint32_t a,
+                                              std::uint32_t b,
+                                              std::uint64_t good) {
+  if (!active(op, a, b)) return good;
+  const std::uint64_t r = faulty_result(op, a, b);
+  if (r != good) ++corrupted_;
+  return r;
 }
 
 std::optional<std::uint32_t> GateLevelFaultInjector::alu_result(
     rtlgen::AluOp op, std::uint32_t a, std::uint32_t b) {
   if (target_ != CutId::kAlu) return std::nullopt;
-  drive("a", a);
-  drive("b", b);
-  drive("op", static_cast<std::uint64_t>(op));
-  const auto r = static_cast<std::uint32_t>(read("result"));
-  if (r != rtlgen::alu_ref(op, a, b)) ++corrupted_;
-  return r;
+  return static_cast<std::uint32_t>(resolve(static_cast<std::uint32_t>(op),
+                                            a, b, rtlgen::alu_ref(op, a, b)));
 }
 
 std::optional<std::uint32_t> GateLevelFaultInjector::shift_result(
     rtlgen::ShiftOp op, std::uint32_t value, std::uint32_t shamt) {
   if (target_ != CutId::kShifter) return std::nullopt;
-  drive("a", value);
-  drive("shamt", shamt);
-  drive("op", static_cast<std::uint64_t>(op));
-  const auto r = static_cast<std::uint32_t>(read("result"));
-  if (r != rtlgen::shifter_ref(op, value, shamt)) ++corrupted_;
-  return r;
+  return static_cast<std::uint32_t>(
+      resolve(static_cast<std::uint32_t>(op), value, shamt,
+              rtlgen::shifter_ref(op, value, shamt)));
 }
 
 std::optional<std::uint64_t> GateLevelFaultInjector::mult_result(
     std::uint32_t a, std::uint32_t b) {
   if (target_ != CutId::kMultiplier) return std::nullopt;
-  drive("a", a);
-  drive("b", b);
-  const std::uint64_t r = read("product");
-  if (r != rtlgen::multiplier_ref(a, b)) ++corrupted_;
-  return r;
+  return resolve(0, a, b, rtlgen::multiplier_ref(a, b));
 }
 
 namespace {

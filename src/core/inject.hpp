@@ -10,8 +10,10 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "core/component.hpp"
 #include "fault/fault.hpp"
@@ -127,20 +129,30 @@ sim::StoreGuard store_guard_for(const struct TestProgram& program);
 
 class GateLevelFaultInjector final : public sim::CpuHooks {
  public:
+  /// Slots of each direct-mapped operand-tuple table (see TupleMemo).
+  static constexpr std::size_t kMemoSlots = 4096;
+
   /// Supported targets: kAlu, kShifter, kMultiplier (the components whose
   /// results flow through the CpuHooks override points).
   ///
-  /// All four fault models inject through the same hooks; the model decides
-  /// WHEN the gate-level force is armed:
-  ///  * kStuckAt — armed for every operation (the legacy behaviour).
-  ///  * kTransition — armed for an operation only when the fault-free value
-  ///    of the faulted line transitions from the slow value on the previous
-  ///    operation to its complement now (the launch/capture pair of the
-  ///    gate-level grader, at operation granularity).
-  ///  * kTransientSEU / kIntermittent — armed per operation by the fault's
-  ///    deterministic activation stream (fault_active), indexed by the
-  ///    injector's private operation counter — so outcomes depend only on
-  ///    the program and the fault, never on scheduling.
+  /// All four fault models share one per-operation rule; the model only
+  /// decides whether the fault is ACTIVE for the operation:
+  ///  * kStuckAt — active for every operation.
+  ///  * kTransition — active only when the fault-free value of the faulted
+  ///    line transitions from the slow value on the previous operation to
+  ///    its complement now (the launch/capture pair of the gate-level
+  ///    grader, at operation granularity). The first operation has no
+  ///    launch partner and is never active.
+  ///  * kTransientSEU / kIntermittent — active per the fault's deterministic
+  ///    activation stream (fault_active), indexed by the injector's private
+  ///    operation counter — so outcomes depend only on the program and the
+  ///    fault, never on scheduling.
+  /// An inactive operation returns the behavioural reference result with no
+  /// netlist work. An active one returns the faulty netlist's result: the
+  /// force is armed on the first activation and never released, so the
+  /// evaluator only ever computes the faulty function, and its answers are
+  /// memoized per (op, a, b) tuple (exact: the CUTs are combinational and
+  /// every input port is driven on every operation).
   GateLevelFaultInjector(const ProcessorModel& model, CutId target,
                          const fault::Fault& fault);
   /// Session form: evaluates through the session's cached compiled netlist
@@ -167,35 +179,89 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   std::uint64_t corrupted_results() const { return corrupted_; }
 
  private:
-  void check_target(CutId target) const;
-  void init_fault(const fault::Fault& fault);
-  void drive(const char* port, std::uint64_t value);
-  /// Arms / disarms the force for the operation about to be evaluated,
-  /// per the fault model's activation semantics. Called once per hooked
-  /// operation, before the faulty eval.
-  void update_activation();
-  std::uint64_t read(const char* port);
+  /// Direct-mapped table of one combinational function of the operand
+  /// tuple. Each slot keeps its full tuple as the tag, so a hit is exact
+  /// and a colliding tuple only evicts; answers never depend on history.
+  class TupleMemo {
+   public:
+    TupleMemo() : slots_(kMemoSlots) {}
+    const std::uint64_t* find(std::uint32_t op, std::uint32_t a,
+                              std::uint32_t b) const {
+      const Slot& s = slots_[index(op, a, b)];
+      return s.tag == op + 1 && s.a == a && s.b == b ? &s.value : nullptr;
+    }
+    void store(std::uint32_t op, std::uint32_t a, std::uint32_t b,
+               std::uint64_t value) {
+      slots_[index(op, a, b)] = Slot{a, b, op + 1, value};
+    }
+
+   private:
+    struct Slot {
+      std::uint32_t a = 0;
+      std::uint32_t b = 0;
+      std::uint32_t tag = 0;  // op + 1; 0 = empty
+      std::uint64_t value = 0;
+    };
+    static std::size_t index(std::uint32_t op, std::uint32_t a,
+                             std::uint32_t b) {
+      const std::uint64_t k = ((std::uint64_t{a} << 32) | b) ^
+                              (std::uint64_t{op} << 59);
+      return static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ull) >> 52);
+    }
+    std::vector<Slot> slots_;
+  };
+  static_assert(kMemoSlots == std::size_t{1} << 12,
+                "TupleMemo::index yields 12 bits");
+
+  /// Transition only: the faulted line's fault-free value per tuple, from
+  /// an un-faulted reference evaluator (compiled evaluators cannot provide
+  /// it — optimization passes may fuse the line away).
+  struct LineProbe {
+    LineProbe(const netlist::Netlist& nl, netlist::NetId net)
+        : eval(nl), line(net) {}
+    netlist::Evaluator eval;
+    netlist::NetId line;
+    TupleMemo memo;
+  };
+
+  void init(const fault::Fault& fault);
+  /// The shared per-operation rule: `good` is the behavioural reference
+  /// result the hook already computed.
+  std::uint64_t resolve(std::uint32_t op, std::uint32_t a, std::uint32_t b,
+                        std::uint64_t good);
+  bool active(std::uint32_t op, std::uint32_t a, std::uint32_t b);
+  /// Drives every input port with the tuple and evaluates.
+  template <class Eval>
+  void drive_and_eval(Eval& ev, std::uint32_t op, std::uint32_t a,
+                      std::uint32_t b) const;
+  std::uint64_t faulty_result(std::uint32_t op, std::uint32_t a,
+                              std::uint32_t b);
 
   CutId target_;
   const netlist::Netlist* nl_;
   std::unique_ptr<netlist::Evaluator> ref_eval_;
   std::unique_ptr<netlist::CompiledEvaluator> comp_eval_;
   fault::Fault fault_;
+  // Port buses, resolved once. port_b_ is "b" or "shamt"; port_op_ is null
+  // for the multiplier, which has no op port.
+  const netlist::Bus* port_a_ = nullptr;
+  const netlist::Bus* port_b_ = nullptr;
+  const netlist::Bus* port_op_ = nullptr;
+  const netlist::Bus* port_out_ = nullptr;
   std::uint64_t stream_key_ = 0;  // fault_stream_key(fault_)
-  std::uint64_t op_index_ = 0;    // operations evaluated through the hooks
-  bool active_ = false;           // force currently armed
+  std::uint64_t op_index_ = 0;    // operations seen through the hooks
+  bool armed_ = false;            // force injected into the evaluator
   bool prev_line_sv_ = false;     // transition: previous op's line == sv
-  netlist::NetId line_ = netlist::kNoNet;  // transition: the faulted line
-  // Transition only: un-faulted reference evaluator for the line's
-  // fault-free value (compiled evaluators cannot provide it — optimization
-  // passes may fuse the line away).
-  std::unique_ptr<netlist::Evaluator> line_eval_;
+  TupleMemo results_;             // faulty results of active operations
+  std::unique_ptr<LineProbe> line_;
   std::uint64_t corrupted_ = 0;
 };
 
-/// Runs `image` twice — fault-free and with `fault` injected into `target`
-/// — and reports whether any signature word differs, plus the classified
-/// RunOutcome of the faulty execution.
+/// Result of one faulty-machine execution of a test program: the guarded
+/// run's classified ending, stats and signature words, next to the
+/// fault-free signatures they were compared against. The fault-free run
+/// happens once per call in the model form, once per (program, config) in
+/// the session and campaign forms.
 struct InjectionOutcome {
   bool detected = false;
   RunOutcome outcome = RunOutcome::kOkMatch;

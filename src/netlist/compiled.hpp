@@ -279,12 +279,6 @@ class CompiledEvaluatorT {
     mask[lane / 64] = std::uint64_t{1} << (lane % 64);
     release_block(site, mask);
   }
-  /// Releases every lane of every word of one site.
-  void release_broadcast(const Site& site) {
-    std::uint64_t mask[W];
-    for (unsigned i = 0; i < W; ++i) mask[i] = ~std::uint64_t{0};
-    release_block(site, mask);
-  }
   void clear_faults();
   bool has_faults() const { return has_faults_; }
 

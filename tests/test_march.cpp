@@ -9,6 +9,14 @@
 #include "sim/cpu.hpp"
 
 namespace sbst::core {
+
+// Print a parameterised algorithm by name, not by address, so the test
+// names that gtest reports (and CTest discovers) are the same every build.
+// Found by ADL, hence outside the unnamed namespace.
+static void PrintTo(const MarchAlgorithm* a, std::ostream* os) {
+  *os << a->name;
+}
+
 namespace {
 
 TEST(March, AlgorithmComplexities) {
