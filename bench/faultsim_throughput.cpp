@@ -2,7 +2,7 @@
 //
 // Grades the collapsed fault universe of a parallel multiplier (the largest
 // combinational CUT family in the model) against random patterns with every
-// combination of evaluation engine (reference / compiled / event, see
+// combination of evaluation engine (reference / event, see
 // fault/engine.hpp) and scheduling (single-thread PPSFP, threaded block,
 // threaded lane-packed), reporting faults x patterns / second. The serial
 // oracle is timed on a reduced pattern count (its throughput is per-pattern,
@@ -215,8 +215,7 @@ int main(int argc, char** argv) {
     return fault::simulate_comb_parallel(nl, faults, patterns, {}, so);
   };
 
-  const Engine engines[] = {Engine::kReference, Engine::kCompiled,
-                            Engine::kEvent};
+  const Engine engines[] = {Engine::kReference, Engine::kEvent};
   std::vector<BenchRow> rows;
 
   // Serial oracle, reference engine only (anchor row; reduced patterns).

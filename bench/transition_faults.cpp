@@ -5,8 +5,8 @@
 // stuck-at-oriented pattern streams under every model of the unified fault
 // taxonomy (stuck-at / transition / transient-SEU / intermittent) through
 // the same FaultUniverse + simulate_comb front door and shows what at-speed
-// SBST buys. The taxonomy-routed transition grading is cross-checked
-// flag-for-flag against the legacy simulate_transition oracle.
+// SBST buys. The block-scheduled transition grading is cross-checked
+// flag-for-flag against the simulate_serial oracle.
 //
 // Emits a table to stdout and machine-readable BENCH_transition.json with
 // one row per (component, model): model, faults, fc_percent,
@@ -19,7 +19,6 @@
 #include "atpg/testgen.hpp"
 #include "common/tablefmt.hpp"
 #include "core/evaluate.hpp"
-#include "fault/transition.hpp"
 
 using namespace sbst;
 using namespace sbst::core;
@@ -91,15 +90,14 @@ int main() {
                  Table::num(row.fc, 2), Table::num(row.faults_per_sec, 0)});
 
       if (fm == fault::FaultModel::kTransition) {
-        // The unified-universe transition grading must match the legacy
-        // pairwise oracle flag-for-flag (enumeration order is pinned).
-        const auto tf = fault::enumerate_transition_faults(info.netlist);
-        const auto legacy =
-            fault::simulate_transition(info.netlist, tf, *c.stream);
-        if (legacy.detected_flags != res.detected_flags) {
+        // The block-scheduled transition grading must match the serial
+        // per-fault launch/capture oracle flag-for-flag.
+        const auto oracle = fault::simulate_serial(
+            info.netlist, universe.collapsed(), *c.stream);
+        if (oracle.detected_flags != res.detected_flags) {
           std::fprintf(stderr,
-                       "FAIL: %s taxonomy-routed transition flags differ "
-                       "from the legacy simulate_transition oracle\n",
+                       "FAIL: %s block-scheduled transition flags differ "
+                       "from the simulate_serial oracle\n",
                        info.name.c_str());
           return 1;
         }

@@ -59,7 +59,7 @@ struct SessionOptions {
   /// Cache artifacts across gradings. Off rebuilds each artifact on every
   /// request — same results, only slower (the differential-testing knob).
   bool cache = true;
-  /// Lane-block width in words for the compiled engines (0 =
+  /// Lane-block width in words for the event engine (0 =
   /// fault::default_lanes()). Part of the grading configuration handed to
   /// every simulation this session drives; detection results are identical
   /// for every width.

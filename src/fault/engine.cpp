@@ -25,7 +25,6 @@ store::ArtifactKey compiled_store_key(const netlist::Netlist& nl,
 const char* engine_name(Engine engine) {
   switch (engine) {
     case Engine::kReference: return "reference";
-    case Engine::kCompiled: return "compiled";
     case Engine::kEvent: return "event";
   }
   return "?";
@@ -34,8 +33,6 @@ const char* engine_name(Engine engine) {
 bool parse_engine(const std::string& name, Engine& out) {
   if (name == "reference") {
     out = Engine::kReference;
-  } else if (name == "compiled") {
-    out = Engine::kCompiled;
   } else if (name == "event") {
     out = Engine::kEvent;
   } else {

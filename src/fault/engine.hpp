@@ -1,20 +1,18 @@
 // Fault-simulation engine selection and shared per-run engine artifacts.
 //
 // Every simulator in sim.hpp / sim_parallel.hpp grades the same contract
-// with one of three interchangeable evaluation engines; detection flags are
+// with one of two interchangeable evaluation engines; detection flags are
 // bitwise-identical across engines for any netlist, stimulus, observe set,
 // thread count, and lane packing:
 //
 //  * kReference: the original Evaluator — full topo-order re-evaluation per
-//    eval(), hash-map pin forces. The oracle the fast engines are
+//    eval(), hash-map pin forces. The oracle engine the event engine is
 //    cross-checked against.
-//  * kCompiled:  CompiledEvaluator with event-driving disabled — one
-//    contiguous levelized SoA sweep per eval(), dense force arrays. Isolates
-//    the win from compilation alone.
-//  * kEvent:     CompiledEvaluator in event-driven mode — after the
-//    good-machine pass each injected fault re-simulates only its fanout
-//    cone, and faults whose cone cannot reach the observe set are skipped
-//    up front. The production default.
+//  * kEvent:     CompiledEvaluator in event-driven mode — dense force
+//    arrays over a levelized program; after the good-machine pass each
+//    injected fault re-simulates only its fanout cone, and faults whose
+//    cone cannot reach the observe set are skipped up front. The
+//    production default.
 //
 // EngineContext bundles the engine's immutable per-run artifacts — the
 // compiled program and the observe-cone reach prefilter — built once and
@@ -44,11 +42,10 @@ store::ArtifactKey compiled_store_key(const netlist::Netlist& nl,
 
 enum class Engine : std::uint8_t {
   kReference,
-  kCompiled,
   kEvent,
 };
 
-/// "reference", "compiled", or "event".
+/// "reference" or "event".
 const char* engine_name(Engine engine);
 
 /// Parses an engine name; returns false (and leaves `out` untouched) on an
@@ -68,14 +65,14 @@ unsigned default_lanes();
 /// Parses a lane width ("1" or "4"); returns false on anything else.
 bool parse_lanes(const std::string& text, unsigned& out);
 
-/// Whether the compiled engines run the netlist-compile optimization passes
+/// Whether the event engine runs the netlist-compile optimization passes
 /// (constant propagation, inverter fusion, dead-gate sweep) when nothing is
 /// requested explicitly: SBST_NETLIST_OPT=0 disables, else enabled.
 bool default_netlist_opt();
 
 /// Immutable per-run grading artifacts for one (engine, netlist, observe
 /// set) triple: the resolved observe set, the compiled program (for the
-/// compiled engines), and the observe-cone reach prefilter. Construction
+/// event engine), and the observe-cone reach prefilter. Construction
 /// also warms the netlist's cached topological order so worker threads only
 /// ever read it. Thread-safe to share by const reference; each worker
 /// builds its own evaluator via grade_with_evaluator().
@@ -120,12 +117,10 @@ class EngineContext {
       netlist::Evaluator ev(*nl_);
       grade(ev);
     } else if (lanes_ == 4) {
-      netlist::CompiledEvaluatorT<4> ev(
-          *compiled_, /*event_driven=*/engine_ == Engine::kEvent);
+      netlist::CompiledEvaluatorT<4> ev(*compiled_);
       grade(ev);
     } else {
-      netlist::CompiledEvaluatorT<1> ev(
-          *compiled_, /*event_driven=*/engine_ == Engine::kEvent);
+      netlist::CompiledEvaluatorT<1> ev(*compiled_);
       grade(ev);
     }
   }

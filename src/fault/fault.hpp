@@ -117,8 +117,7 @@ class FaultUniverse {
   /// structural equivalence rules are value-based, so every model shares
   /// the stuck-at collapse; the model only tags the representatives (for
   /// kTransition, representative i is the transition fault whose captured
-  /// value is the stuck-at representative's stuck value — the exact list
-  /// the legacy enumerate_transition_faults produced).
+  /// value is the stuck-at representative's stuck value).
   explicit FaultUniverse(const netlist::Netlist& nl,
                          FaultModel model = FaultModel::kStuckAt);
 

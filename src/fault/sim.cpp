@@ -1,14 +1,13 @@
 #include "fault/sim.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "fault/sim_detail.hpp"
-#include "netlist/compiled.hpp"
+#include "fault/sim_parallel.hpp"
 
 namespace sbst::fault {
 
-using netlist::CompiledEvaluator;
-using netlist::CompiledNetlist;
 using netlist::Evaluator;
 using netlist::Netlist;
 using netlist::NetId;
@@ -31,8 +30,8 @@ void require_combinational(const Netlist& nl, const char* who) {
   }
 }
 
-FaultModel list_model(const std::vector<Fault>& faults) {
-  if (faults.empty()) return FaultModel::kStuckAt;
+Activation activation_of(const std::vector<Fault>& faults) {
+  if (faults.empty()) return Activation::kAlways;
   const FaultModel model = faults.front().model;
   for (const Fault& f : faults) {
     if (f.model != model) {
@@ -41,7 +40,16 @@ FaultModel list_model(const std::vector<Fault>& faults) {
           "grade each model separately");
     }
   }
-  return model;
+  switch (model) {
+    case FaultModel::kStuckAt:
+      return Activation::kAlways;
+    case FaultModel::kTransition:
+      return Activation::kTransition;
+    case FaultModel::kTransientSEU:
+    case FaultModel::kIntermittent:
+      return Activation::kWindowed;
+  }
+  return Activation::kAlways;
 }
 
 TransitionBaseline make_transition_baseline(const Netlist& nl,
@@ -69,63 +77,35 @@ TransitionBaseline make_transition_baseline(const Netlist& nl,
 
 }  // namespace detail
 
-namespace {
-
-/// Runs `grade(ev, reach)` with the evaluator the engine calls for: the
-/// reference Evaluator (no prefilter), or a CompiledEvaluator — full-sweep
-/// or event-driven — with the observe-cone prefilter.
-template <typename GradeFn>
-void with_engine(Engine engine, const Netlist& nl, const ObserveSet& observe,
-                 unsigned lanes, const GradeFn& grade) {
-  const EngineContext ctx(engine, nl, observe, /*compiled=*/nullptr,
-                          /*reach=*/nullptr, lanes);
-  ctx.grade_with_evaluator([&](auto& ev) { grade(ev, ctx.reach()); });
-}
-
-}  // namespace
-
 CoverageResult simulate_serial(const Netlist& nl,
                                const std::vector<Fault>& faults,
                                const PatternSet& patterns,
-                               const ObserveSet& observe_in, Engine engine,
+                               const ObserveSet& observe, Engine engine,
                                unsigned lanes) {
   detail::require_combinational(nl, "simulate_serial");
-  const ObserveSet observe = detail::resolve_observe(nl, observe_in);
+  const EngineContext ctx(engine, nl, observe, /*compiled=*/nullptr,
+                          /*reach=*/nullptr, lanes);
+  const detail::Activation act = detail::activation_of(faults);
+  std::optional<detail::TransitionBaseline> baseline;
+  if (act == detail::Activation::kTransition) {
+    baseline = detail::make_transition_baseline(nl, patterns, ctx.observe());
+  }
 
   CoverageResult res;
   res.total = faults.size();
   res.detected_flags.assign(faults.size(), 0);
-  switch (detail::list_model(faults)) {
-    case FaultModel::kStuckAt:
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_serial(ev, faults, patterns, observe, reach,
-                             res.detected_flags.data());
-      });
-      break;
-    case FaultModel::kTransition: {
-      // Transition faults have no meaningful one-pattern-at-a-time oracle:
-      // detection is a property of pattern PAIRS, so the block grader (which
-      // is the canonical pairing algorithm) serves as the serial path too.
-      const auto baseline =
-          detail::make_transition_baseline(nl, patterns, observe);
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_transition_blocks(ev, faults, 0, faults.size(),
-                                        patterns, observe, baseline, reach,
-                                        res.detected_flags.data());
-      });
-      break;
+  std::uint8_t* flags = res.detected_flags.data();
+  ctx.grade_with_evaluator([&](auto& ev) {
+    if (baseline) {
+      detail::grade_transition_serial(ev, faults, patterns, ctx.observe(),
+                                      *baseline, ctx.reach(), flags);
+      return;
     }
-    case FaultModel::kTransientSEU:
-    case FaultModel::kIntermittent:
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_windowed_serial(ev, faults, patterns, observe, reach,
-                                      res.detected_flags.data());
-      });
-      break;
-  }
+    detail::with_activation(act, [&](auto tag) {
+      detail::grade_serial<decltype(tag)::value>(
+          ev, faults, patterns, ctx.observe(), ctx.reach(), flags);
+    });
+  });
   res.recount();
   return res;
 }
@@ -133,111 +113,43 @@ CoverageResult simulate_serial(const Netlist& nl,
 CoverageResult simulate_comb(const Netlist& nl,
                              const std::vector<Fault>& faults,
                              const PatternSet& patterns,
-                             const ObserveSet& observe_in, Engine engine,
+                             const ObserveSet& observe, Engine engine,
                              unsigned lanes) {
   detail::require_combinational(nl, "simulate_comb");
-  const ObserveSet observe = detail::resolve_observe(nl, observe_in);
-
-  CoverageResult res;
-  res.total = faults.size();
-  res.detected_flags.assign(faults.size(), 0);
-  switch (detail::list_model(faults)) {
-    case FaultModel::kStuckAt:
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_comb(ev, faults, patterns, observe, reach,
-                           res.detected_flags.data());
-      });
-      break;
-    case FaultModel::kTransition: {
-      const auto baseline =
-          detail::make_transition_baseline(nl, patterns, observe);
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_transition_blocks(ev, faults, 0, faults.size(),
-                                        patterns, observe, baseline, reach,
-                                        res.detected_flags.data());
-      });
-      break;
-    }
-    case FaultModel::kTransientSEU:
-    case FaultModel::kIntermittent:
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_windowed(ev, faults, patterns, observe, reach,
-                               res.detected_flags.data());
-      });
-      break;
-  }
-  res.recount();
-  return res;
+  SimOptions options;
+  options.num_threads = 1;
+  options.lane_parallel = false;
+  options.engine = engine;
+  options.lanes = lanes;
+  return simulate_comb_parallel(nl, faults, patterns, observe, options);
 }
 
 CoverageResult simulate_seq(const Netlist& nl,
                             const std::vector<Fault>& faults,
                             const SeqStimulus& stimulus,
-                            const ObserveSet& observe_in, Engine engine,
+                            const ObserveSet& observe, Engine engine,
                             unsigned lanes) {
-  const ObserveSet observe = detail::resolve_observe(nl, observe_in);
-
-  CoverageResult res;
-  res.total = faults.size();
-  res.detected_flags.assign(faults.size(), 0);
-  switch (detail::list_model(faults)) {
-    case FaultModel::kStuckAt:
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_seq_batches(ev, faults, 0, faults.size(), stimulus,
-                                  observe, reach, res.detected_flags.data());
-      });
-      break;
-    case FaultModel::kTransition:
-      throw std::invalid_argument(
-          "simulate_seq: transition faults are combinational-only "
-          "(launch/capture pattern pairs); use simulate_comb");
-    case FaultModel::kTransientSEU:
-    case FaultModel::kIntermittent:
-      with_engine(engine, nl, observe, lanes,
-                  [&](auto& ev, const std::uint8_t* reach) {
-        detail::grade_windowed_seq_batches(ev, faults, 0, faults.size(),
-                                           stimulus, observe, reach,
-                                           res.detected_flags.data());
-      });
-      break;
-  }
-  res.recount();
-  return res;
+  SimOptions options;
+  options.num_threads = 1;
+  options.engine = engine;
+  options.lanes = lanes;
+  return simulate_seq_parallel(nl, faults, stimulus, observe, options);
 }
 
 void simulate_comb_into(const EngineContext& ctx,
                         const std::vector<Fault>& faults,
                         const PatternSet& patterns, std::uint8_t* flags) {
   detail::require_combinational(ctx.netlist(), "simulate_comb_into");
-  switch (detail::list_model(faults)) {
-    case FaultModel::kStuckAt:
-      ctx.grade_with_evaluator([&](auto& ev) {
-        detail::grade_comb(ev, faults, patterns, ctx.observe(), ctx.reach(),
-                           flags);
-      });
-      break;
-    case FaultModel::kTransition: {
-      const auto baseline = detail::make_transition_baseline(
-          ctx.netlist(), patterns, ctx.observe());
-      ctx.grade_with_evaluator([&](auto& ev) {
-        detail::grade_transition_blocks(ev, faults, 0, faults.size(),
-                                        patterns, ctx.observe(), baseline,
-                                        ctx.reach(), flags);
-      });
-      break;
-    }
-    case FaultModel::kTransientSEU:
-    case FaultModel::kIntermittent:
-      ctx.grade_with_evaluator([&](auto& ev) {
-        detail::grade_windowed(ev, faults, patterns, ctx.observe(),
-                               ctx.reach(), flags);
-      });
-      break;
+  if (detail::activation_of(faults) != detail::Activation::kAlways) {
+    throw std::invalid_argument(
+        "simulate_comb_into: stuck-at faults only (activation streams and "
+        "launch/capture pairs restart with every batch)");
   }
+  ctx.grade_with_evaluator([&](auto& ev) {
+    detail::grade_blocks<detail::Activation::kAlways>(
+        ev, faults, 0, faults.size(), patterns, ctx.observe(), ctx.reach(),
+        flags);
+  });
 }
 
 std::vector<std::vector<bool>> good_responses(const Netlist& nl,

@@ -1,22 +1,24 @@
 // Fault simulators.
 //
-// Three engines with one contract — grade a fault list against a stimulus,
-// counting a fault detected when an observed output differs from the
-// fault-free response:
+// Three simulators with one contract — grade a fault list against a
+// stimulus, counting a fault detected when an observed output differs from
+// the fault-free response:
 //
-//  * simulate_serial:   one fault at a time, one pattern at a time. The slow
-//                       reference implementation the fast engines are
-//                       cross-checked against in tests.
+//  * simulate_serial:   one fault at a time, one pattern (or, for transition
+//                       faults, one 64-pattern block) at a time. The one
+//                       independent oracle the fast paths are cross-checked
+//                       against in tests, for every fault model.
 //  * simulate_comb:     PPSFP — 64 packed patterns per pass, one fault
 //                       re-simulated per pass with fault dropping.
 //                       Combinational netlists only.
 //  * simulate_seq:      parallel-fault — lane 0 is the fault-free machine,
-//                       lanes 1..63 carry faulty machines through the whole
-//                       clocked stimulus. Works for sequential netlists
-//                       (divider, register file, memory controller).
+//                       the other lanes carry faulty machines through the
+//                       whole clocked stimulus. Works for sequential
+//                       netlists (divider, register file, memory
+//                       controller); transition faults are rejected.
 //
-// Multi-threaded versions of the fast engines (fault-partitioned thread
-// pool, bitwise-deterministic results) live in sim_parallel.hpp.
+// simulate_comb and simulate_seq are the single-threaded form of the
+// fault-partitioned engines in sim_parallel.hpp.
 #pragma once
 
 #include <optional>
@@ -33,11 +35,11 @@ namespace sbst::fault {
 using ObserveSet = std::vector<netlist::NetId>;
 
 // Each simulator accepts an evaluation Engine (engine.hpp). The default is
-// kReference so these remain the oracles the fast paths are cross-checked
-// against; detection flags are bitwise-identical for every engine, lane
+// kReference so simulate_serial stays independent of the compiled
+// evaluator; detection flags are bitwise-identical for every engine, lane
 // width, and optimization setting. `lanes` is the lane-block width in words
-// for the compiled engines (0 = default_lanes(); the reference engine
-// ignores it).
+// for the event engine (0 = default_lanes(); the reference engine ignores
+// it).
 
 CoverageResult simulate_serial(const netlist::Netlist& nl,
                                const std::vector<Fault>& faults,
@@ -64,8 +66,11 @@ CoverageResult simulate_seq(const netlist::Netlist& nl,
 /// generation): simulates `patterns` against the faults whose `flags` entry
 /// is still 0 and sets the flag of each new detection. Reuses a prebuilt
 /// EngineContext so repeated calls (one per pattern batch) pay for
-/// compilation and cone marking once. Flags are bitwise-identical to
-/// grading all batches together with any other simulator.
+/// compilation and cone marking once. Stuck-at faults only: their flags are
+/// bitwise-identical to grading all batches together with any other
+/// simulator. Every other model throws std::invalid_argument, because
+/// activation-stream indices and launch/capture pairs restart with each
+/// batch, so split batches would not add up to one grading.
 void simulate_comb_into(const EngineContext& ctx,
                         const std::vector<Fault>& faults,
                         const PatternSet& patterns, std::uint8_t* flags);

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <type_traits>
 
-#include "common/bits.hpp"
 #include "fault/sim_detail.hpp"
-#include "netlist/compiled.hpp"
 
 namespace sbst::fault {
 
@@ -46,89 +43,37 @@ void GradingPlan::add_comb(const EngineContext& ctx,
   if (faults.empty()) return;
   std::uint8_t* flags = out.detected_flags.data();
 
-  const FaultModel model = detail::list_model(faults);
+  const detail::Activation act = detail::activation_of(faults);
+  // The launch/capture pairing needs good LINE values, which only the
+  // reference evaluator can provide post-fusion — precomputed once here,
+  // shared read-only by every chunk task.
+  const detail::TransitionBaseline* baseline =
+      act == detail::Activation::kTransition
+          ? &transition_storage_.emplace_back(detail::make_transition_baseline(
+                ctx.netlist(), patterns, ctx.observe()))
+          : nullptr;
   const std::size_t chunk = chunk_faults(ctx);
-
-  if (model == FaultModel::kTransition) {
-    // The launch/capture pairing needs good LINE values, which only the
-    // reference evaluator can provide post-fusion — precomputed once here,
-    // shared read-only by every chunk task.
-    auto& baseline = transition_storage_.emplace_back(
-        detail::make_transition_baseline(ctx.netlist(), patterns,
-                                         ctx.observe()));
-    for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, faults.size());
-      tasks_.push_back([&ctx, &faults, &patterns, &baseline, flags, begin,
-                        end] {
-        ctx.grade_with_evaluator([&](auto& ev) {
-          detail::grade_transition_blocks(ev, faults, begin, end, patterns,
-                                          ctx.observe(), baseline,
-                                          ctx.reach(), flags);
-        });
-      });
-    }
-    return;
-  }
-
-  const bool windowed = model == FaultModel::kTransientSEU ||
-                        model == FaultModel::kIntermittent;
-  if (windowed && lane_parallel) {
-    for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, faults.size());
-      tasks_.push_back([&ctx, &faults, &patterns, flags, begin, end] {
-        ctx.grade_with_evaluator([&](auto& ev) {
-          detail::grade_windowed_lanes(ev, faults, begin, end, patterns,
-                                       ctx.observe(), ctx.reach(), flags);
-        });
-      });
-    }
-    return;
-  }
-
-  if (!lane_parallel) {
-    // Fault-free responses, computed once here and shared read-only by every
-    // chunk task of this grading.
-    auto& good_out = good_storage_.emplace_back(patterns.block_count());
-    ctx.grade_with_evaluator([&](auto& good) {
-      constexpr unsigned W = std::decay_t<decltype(good)>::kWords;
-      const std::size_t n_blocks = patterns.block_count();
-      for (std::size_t b = 0; b < n_blocks; b += W) {
-        detail::apply_block_group(good, patterns, b);
-        good.eval();
-        for (unsigned w = 0; w < W && b + w < n_blocks; ++w) {
-          good_out[b + w].resize(ctx.observe().size());
-          for (std::size_t o = 0; o < ctx.observe().size(); ++o) {
-            good_out[b + w][o] = good.value_word(ctx.observe()[o], w);
-          }
-        }
-      }
-    });
-    for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, faults.size());
-      tasks_.push_back([&ctx, &faults, &patterns, &good_out, flags, begin,
-                        end, windowed] {
-        ctx.grade_with_evaluator([&](auto& ev) {
-          if (windowed) {
-            detail::grade_windowed_blocks(ev, faults, begin, end, patterns,
-                                          ctx.observe(), good_out,
-                                          ctx.reach(), flags);
-          } else {
-            detail::grade_comb_blocks(ev, faults, begin, end, patterns,
-                                      ctx.observe(), good_out, ctx.reach(),
-                                      flags);
-          }
-        });
-      });
-    }
-    return;
-  }
-
   for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
     const std::size_t end = std::min(begin + chunk, faults.size());
-    tasks_.push_back([&ctx, &faults, &patterns, flags, begin, end] {
+    tasks_.push_back([&ctx, &faults, &patterns, baseline, flags, begin, end,
+                      act, lane_parallel] {
       ctx.grade_with_evaluator([&](auto& ev) {
-        detail::grade_comb_lanes(ev, faults, begin, end, patterns,
-                                 ctx.observe(), ctx.reach(), flags);
+        if (baseline) {
+          detail::grade_transition_blocks(ev, faults, begin, end, patterns,
+                                          ctx.observe(), *baseline,
+                                          ctx.reach(), flags);
+          return;
+        }
+        detail::with_activation(act, [&](auto tag) {
+          constexpr detail::Activation A = decltype(tag)::value;
+          if (lane_parallel) {
+            detail::grade_lanes<A>(ev, faults, begin, end, patterns,
+                                   ctx.observe(), ctx.reach(), flags);
+          } else {
+            detail::grade_blocks<A>(ev, faults, begin, end, patterns,
+                                    ctx.observe(), ctx.reach(), flags);
+          }
+        });
       });
     });
   }
@@ -142,26 +87,23 @@ void GradingPlan::add_seq(const EngineContext& ctx,
   if (faults.empty()) return;
   std::uint8_t* flags = out.detected_flags.data();
 
-  const FaultModel model = detail::list_model(faults);
-  if (model == FaultModel::kTransition) {
+  const detail::Activation act = detail::activation_of(faults);
+  if (act == detail::Activation::kTransition) {
     throw std::invalid_argument(
-        "GradingPlan::add_seq: transition faults are combinational-only "
-        "(launch/capture pattern pairs); use add_comb");
+        "sequential fault sim: transition faults are combinational-only "
+        "(launch/capture pattern pairs); grade them with add_comb or "
+        "simulate_comb");
   }
-  const bool windowed = model != FaultModel::kStuckAt;
   const std::size_t chunk = chunk_faults(ctx);
   for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
     const std::size_t end = std::min(begin + chunk, faults.size());
-    tasks_.push_back([&ctx, &faults, &stimulus, flags, begin, end, windowed] {
+    tasks_.push_back([&ctx, &faults, &stimulus, flags, begin, end, act] {
       ctx.grade_with_evaluator([&](auto& ev) {
-        if (windowed) {
-          detail::grade_windowed_seq_batches(ev, faults, begin, end, stimulus,
-                                             ctx.observe(), ctx.reach(),
-                                             flags);
-        } else {
-          detail::grade_seq_batches(ev, faults, begin, end, stimulus,
-                                    ctx.observe(), ctx.reach(), flags);
-        }
+        detail::with_activation(act, [&](auto tag) {
+          detail::grade_seq<decltype(tag)::value>(ev, faults, begin, end,
+                                                  stimulus, ctx.observe(),
+                                                  ctx.reach(), flags);
+        });
       });
     });
   }
@@ -182,7 +124,6 @@ std::vector<ThreadPool::TaskFailure> GradingPlan::run_capture(
     failures = pool.run_static_capture(tasks_.size(), task);
   }
   tasks_.clear();
-  good_storage_.clear();
   transition_storage_.clear();
   return failures;
 }

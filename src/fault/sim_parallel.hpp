@@ -1,20 +1,23 @@
-// Parallel fault-simulation engines: PPSFP lane packing + a fault-partitioned
-// thread pool.
+// Parallel fault simulation: a fault-partitioned thread pool over the
+// grading kernels in sim_detail.hpp.
 //
-// Both engines grade the same contract as sim.hpp and are cross-checked
-// against those oracles by the differential tests in
+// Both front doors grade the same contract as sim.hpp and are cross-checked
+// against the simulate_serial oracle by the differential tests in
 // tests/test_fault_parallel.cpp:
 //
 //  * simulate_comb_parallel: combinational grading. With
-//    SimOptions::lane_parallel the evaluator's 64 bit-lanes carry the good
-//    machine (lane 0) plus 63 faulty machines per eval() — the same packing
-//    simulate_seq uses — so one pass over the pattern set grades 63 faults;
-//    without it, each worker runs the block-at-a-time PPSFP of simulate_comb
-//    over its fault slice against precomputed fault-free responses.
-//  * simulate_seq_parallel: sequential grading; workers run simulate_seq's
-//    63-faults-per-batch loop over disjoint fault slices.
+//    SimOptions::lane_parallel the evaluator's bit-lanes carry the good
+//    machine (lane 0) plus one faulty machine per other lane, one broadcast
+//    pattern per eval() (grade_lanes); without it, each worker runs block
+//    PPSFP over its fault slice (grade_blocks). Transition faults always run
+//    the launch/capture block kernel.
+//  * simulate_seq_parallel: sequential grading; workers run the lane-packed
+//    grade_seq batches over disjoint fault slices.
 //
-// Both compose with the evaluation engines in engine.hpp: with a compiled
+// simulate_comb and simulate_seq (sim.hpp) are these front doors on one
+// thread with the block schedule.
+//
+// Both compose with the evaluation engines in engine.hpp: with the event
 // engine the netlist is compiled once and every worker runs its own
 // CompiledEvaluator over the shared immutable program. SimOptions can lend
 // in externally owned artifacts — a persistent ThreadPool, a pre-compiled
@@ -53,11 +56,11 @@ struct SimOptions {
   /// Pack 63 faults + the good machine into the 64 bit-lanes per eval() for
   /// combinational grading (detection flags are identical either way).
   bool lane_parallel = true;
-  /// Evaluation engine (detection flags are identical for every choice).
+  /// Evaluation engine (detection flags are identical for either choice).
   /// Defaults to the event-driven compiled engine, overridable via the
   /// SBST_ENGINE environment variable.
   Engine engine = default_engine();
-  /// Lane-block width in 64-bit words for the compiled engines: 4 packs 255
+  /// Lane-block width in 64-bit words for the event engine: 4 packs 255
   /// faults + the good machine per lane-parallel eval(). 0 = default_lanes()
   /// (SBST_LANES env var, else 4). Detection flags are identical for every
   /// width; the reference engine ignores it.
@@ -71,11 +74,11 @@ struct SimOptions {
   /// constructing a per-call pool. Must not currently be executing a
   /// run_static batch (the pool is not reentrant).
   ThreadPool* pool = nullptr;
-  /// Pre-compiled netlist for the compiled engines; must be compiled from
+  /// Pre-compiled netlist for the event engine; must be compiled from
   /// the netlist being graded. nullptr = compile per call.
   const netlist::CompiledNetlist* compiled = nullptr;
   /// Precomputed fanin-cone prefilter matching the observe set, indexed per
-  /// gate. nullptr = compute per call (compiled engines only).
+  /// gate. nullptr = compute per call (event engine only).
   const std::uint8_t* reach = nullptr;
   /// Persistent artifact store probed (and written back) when no
   /// pre-compiled netlist is lent in; detection flags are identical with it
@@ -95,7 +98,7 @@ struct SimOptions {
 class GradingPlan {
  public:
   /// Combinational grading of `faults` against `patterns` (lane-packed or
-  /// block PPSFP). Block scheduling precomputes the fault-free responses
+  /// block PPSFP). Transition gradings precompute their fault-free baseline
   /// eagerly (one pass, on the calling thread).
   void add_comb(const EngineContext& ctx, const std::vector<Fault>& faults,
                 const PatternSet& patterns, bool lane_parallel,
@@ -127,11 +130,8 @@ class GradingPlan {
 
  private:
   std::vector<std::function<void()>> tasks_;
-  // Fault-free responses for block-scheduled gradings; deque keeps the
+  // Reference-evaluator baselines for transition gradings; deque keeps the
   // references captured by queued tasks stable.
-  std::deque<std::vector<std::vector<std::uint64_t>>> good_storage_;
-  // Reference-evaluator baselines for transition gradings (same stable-
-  // reference contract as good_storage_).
   std::deque<detail::TransitionBaseline> transition_storage_;
 };
 

@@ -552,15 +552,15 @@ TEST(CompiledEval, FullEvalCountsWholeSweep) {
 
 TEST(EngineSelect, ParseAndNames) {
   Engine e = Engine::kReference;
-  EXPECT_TRUE(fault::parse_engine("compiled", e));
-  EXPECT_EQ(e, Engine::kCompiled);
   EXPECT_TRUE(fault::parse_engine("event", e));
   EXPECT_EQ(e, Engine::kEvent);
   EXPECT_TRUE(fault::parse_engine("reference", e));
   EXPECT_EQ(e, Engine::kReference);
   EXPECT_FALSE(fault::parse_engine("warp", e));
+  EXPECT_FALSE(fault::parse_engine("compiled", e));
   EXPECT_EQ(e, Engine::kReference);  // untouched on failure
   EXPECT_STREQ(fault::engine_name(Engine::kEvent), "event");
+  EXPECT_STREQ(fault::engine_name(Engine::kReference), "reference");
 }
 
 TEST(EngineSelect, SerialAndCombSimulatorsIdenticalAcrossEngines) {
@@ -573,15 +573,17 @@ TEST(EngineSelect, SerialAndCombSimulatorsIdenticalAcrossEngines) {
 
     const CoverageResult oracle =
         fault::simulate_serial(nl, u.collapsed(), ps, {}, Engine::kReference);
-    for (Engine e : {Engine::kCompiled, Engine::kEvent}) {
+    for (unsigned lanes : {1u, 4u}) {
       EXPECT_EQ(oracle.detected_flags,
-                fault::simulate_serial(nl, u.collapsed(), ps, {}, e)
+                fault::simulate_serial(nl, u.collapsed(), ps, {},
+                                       Engine::kEvent, lanes)
                     .detected_flags)
-          << "serial/" << fault::engine_name(e);
+          << "serial/l" << lanes;
       EXPECT_EQ(oracle.detected_flags,
-                fault::simulate_comb(nl, u.collapsed(), ps, {}, e)
+                fault::simulate_comb(nl, u.collapsed(), ps, {},
+                                     Engine::kEvent, lanes)
                     .detected_flags)
-          << "comb/" << fault::engine_name(e);
+          << "comb/l" << lanes;
     }
   }
 }
@@ -600,10 +602,12 @@ TEST(EngineSelect, SeqSimulatorIdenticalAcrossEngines) {
   }
   const CoverageResult oracle =
       fault::simulate_seq(nl, u.collapsed(), st, {}, Engine::kReference);
-  for (Engine e : {Engine::kCompiled, Engine::kEvent}) {
+  for (unsigned lanes : {1u, 4u}) {
     EXPECT_EQ(oracle.detected_flags,
-              fault::simulate_seq(nl, u.collapsed(), st, {}, e).detected_flags)
-        << fault::engine_name(e);
+              fault::simulate_seq(nl, u.collapsed(), st, {}, Engine::kEvent,
+                                  lanes)
+                  .detected_flags)
+        << "l" << lanes;
   }
 }
 
@@ -616,7 +620,7 @@ TEST(EngineSelect, ParallelIdenticalAcrossEnginesThreadsAndLanes) {
 
   const CoverageResult oracle =
       fault::simulate_serial(nl, u.collapsed(), ps, {}, Engine::kReference);
-  for (Engine e : {Engine::kReference, Engine::kCompiled, Engine::kEvent}) {
+  for (Engine e : {Engine::kReference, Engine::kEvent}) {
     for (unsigned threads : {1u, 2u, 4u}) {
       for (bool lanes : {false, true}) {
         SimOptions opt;
@@ -647,7 +651,7 @@ TEST(EngineSelect, ParallelSeqIdenticalAcrossEnginesAndThreads) {
   }
   const CoverageResult oracle =
       fault::simulate_seq(nl, u.collapsed(), st, {}, Engine::kReference);
-  for (Engine e : {Engine::kReference, Engine::kCompiled, Engine::kEvent}) {
+  for (Engine e : {Engine::kReference, Engine::kEvent}) {
     for (unsigned threads : {1u, 3u}) {
       SimOptions opt;
       opt.num_threads = threads;
@@ -675,18 +679,20 @@ TEST(EngineSelect, RestrictedObserveSetExercisesConePrefilter) {
   const CoverageResult oracle = fault::simulate_serial(nl, u.collapsed(), ps,
                                                        narrow,
                                                        Engine::kReference);
-  for (Engine e : {Engine::kCompiled, Engine::kEvent}) {
+  for (unsigned lanes : {1u, 4u}) {
     EXPECT_EQ(oracle.detected_flags,
-              fault::simulate_comb(nl, u.collapsed(), ps, narrow, e)
+              fault::simulate_comb(nl, u.collapsed(), ps, narrow,
+                                   Engine::kEvent, lanes)
                   .detected_flags)
-        << fault::engine_name(e);
+        << "l" << lanes;
     SimOptions opt;
     opt.num_threads = 2;
-    opt.engine = e;
+    opt.engine = Engine::kEvent;
+    opt.lanes = lanes;
     EXPECT_EQ(oracle.detected_flags,
               fault::simulate_comb_parallel(nl, u.collapsed(), ps, narrow, opt)
                   .detected_flags)
-        << fault::engine_name(e) << "/parallel";
+        << "l" << lanes << "/parallel";
   }
 }
 
@@ -701,8 +707,8 @@ TEST(EngineSelect, RtlgenComponentCoverageIdenticalAcrossEngines) {
     PatternSet ps(nl);
     for (int i = 0; i < 96; ++i) ps.add_random(rng);
     const CoverageResult oracle =
-        fault::simulate_comb(nl, u.collapsed(), ps, {}, Engine::kReference);
-    for (Engine e : {Engine::kCompiled, Engine::kEvent}) {
+        fault::simulate_serial(nl, u.collapsed(), ps, {}, Engine::kReference);
+    for (Engine e : {Engine::kReference, Engine::kEvent}) {
       EXPECT_EQ(oracle.detected_flags,
                 fault::simulate_comb(nl, u.collapsed(), ps, {}, e)
                     .detected_flags)

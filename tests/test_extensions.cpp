@@ -5,7 +5,7 @@
 #include "core/codegen.hpp"
 #include "core/evaluate.hpp"
 #include "core/program.hpp"
-#include "fault/transition.hpp"
+#include "fault/sim.hpp"
 #include "netlist/export.hpp"
 #include "rtlgen/alu.hpp"
 #include "rtlgen/divider.hpp"
@@ -19,6 +19,24 @@ using netlist::NetId;
 
 // ---- transition faults -------------------------------------------------------
 
+// A transition fault's stuck value is its captured (faulty) value, so a
+// slow-to-rise fault is stuck_value = 0 and a slow-to-fall one 1.
+fault::Fault transition_fault(NetId gate, bool slow_to_rise) {
+  return {{gate, netlist::Site::kOutputPin}, !slow_to_rise,
+          fault::FaultModel::kTransition};
+}
+
+// Detected count from the serial oracle, after checking the block engine
+// grades every fault identically.
+std::size_t transition_detected(const Netlist& nl,
+                                const std::vector<fault::Fault>& faults,
+                                const fault::PatternSet& ps) {
+  const fault::CoverageResult serial = fault::simulate_serial(nl, faults, ps);
+  EXPECT_EQ(serial.detected_flags,
+            fault::simulate_comb(nl, faults, ps).detected_flags);
+  return serial.detected;
+}
+
 TEST(TransitionFaults, RequiresLaunchAndCapturePair) {
   // y = a AND b. STR on y needs: pair with y=0 then y=1.
   Netlist nl;
@@ -26,38 +44,36 @@ TEST(TransitionFaults, RequiresLaunchAndCapturePair) {
   const NetId b = nl.input("b");
   const NetId y = nl.and_(a, b);
   nl.output("y", y);
-  const std::vector<fault::TransitionFault> faults = {
-      {{y, netlist::Site::kOutputPin}, /*slow_to_rise=*/true}};
+  const std::vector<fault::Fault> str = {transition_fault(y, true)};
 
   // Rising pair (0,0) -> (1,1): detected.
   fault::PatternSet rising(nl);
   rising.add({{"a", 0}, {"b", 0}});
   rising.add({{"a", 1}, {"b", 1}});
-  EXPECT_EQ(fault::simulate_transition(nl, faults, rising).detected, 1u);
+  EXPECT_EQ(transition_detected(nl, str, rising), 1u);
 
   // Static 1 twice: no transition launched -> undetected.
   fault::PatternSet static1(nl);
   static1.add({{"a", 1}, {"b", 1}});
   static1.add({{"a", 1}, {"b", 1}});
-  EXPECT_EQ(fault::simulate_transition(nl, faults, static1).detected, 0u);
+  EXPECT_EQ(transition_detected(nl, str, static1), 0u);
 
   // Falling pair only: wrong polarity for STR.
   fault::PatternSet falling(nl);
   falling.add({{"a", 1}, {"b", 1}});
   falling.add({{"a", 0}, {"b", 0}});
-  EXPECT_EQ(fault::simulate_transition(nl, faults, falling).detected, 0u);
+  EXPECT_EQ(transition_detected(nl, str, falling), 0u);
 
   // But the falling pair detects the STF fault.
-  const std::vector<fault::TransitionFault> stf = {
-      {{y, netlist::Site::kOutputPin}, /*slow_to_rise=*/false}};
-  EXPECT_EQ(fault::simulate_transition(nl, stf, falling).detected, 1u);
+  const std::vector<fault::Fault> stf = {transition_fault(y, false)};
+  EXPECT_EQ(transition_detected(nl, stf, falling), 1u);
 }
 
 TEST(TransitionFaults, OrderMattersUnlikeStuckAt) {
   Netlist nl;
   const NetId a = nl.input("a");
   nl.output("y", nl.buf(a));
-  const auto faults = fault::enumerate_transition_faults(nl);
+  const fault::FaultUniverse u(nl, fault::FaultModel::kTransition);
   fault::PatternSet good_order(nl), bad_order(nl);
   good_order.add({{"a", 0}});
   good_order.add({{"a", 1}});
@@ -65,9 +81,8 @@ TEST(TransitionFaults, OrderMattersUnlikeStuckAt) {
   bad_order.add({{"a", 1}});
   bad_order.add({{"a", 1}});
   bad_order.add({{"a", 0}});  // only the falling pair exists
-  const auto g = fault::simulate_transition(nl, faults, good_order);
-  const auto b = fault::simulate_transition(nl, faults, bad_order);
-  EXPECT_GT(g.detected, b.detected);
+  EXPECT_GT(transition_detected(nl, u.collapsed(), good_order),
+            transition_detected(nl, u.collapsed(), bad_order));
 }
 
 TEST(TransitionFaults, CrossBlockPairsAreSeen) {
@@ -75,12 +90,11 @@ TEST(TransitionFaults, CrossBlockPairsAreSeen) {
   Netlist nl;
   const NetId a = nl.input("a");
   nl.output("y", nl.buf(a));
-  const std::vector<fault::TransitionFault> faults = {
-      {{a, netlist::Site::kOutputPin}, true}};
+  const std::vector<fault::Fault> faults = {transition_fault(a, true)};
   fault::PatternSet ps(nl);
   for (int i = 0; i < 64; ++i) ps.add({{"a", 0}});
   ps.add({{"a", 1}});  // pattern 64 = lane 0 of block 1
-  EXPECT_EQ(fault::simulate_transition(nl, faults, ps).detected, 1u);
+  EXPECT_EQ(transition_detected(nl, faults, ps), 1u);
 }
 
 TEST(TransitionFaults, CoverageBoundedByStuckAt) {
@@ -90,13 +104,15 @@ TEST(TransitionFaults, CoverageBoundedByStuckAt) {
   fault::PatternSet ps(nl);
   for (int i = 0; i < 200; ++i) ps.add_random(rng);
   const auto sa = fault::simulate_comb(nl, stuck.collapsed(), ps);
-  const auto tf = fault::enumerate_transition_faults(nl);
-  const auto tr = fault::simulate_transition(nl, tf, ps);
-  ASSERT_EQ(tf.size(), stuck.size());
+  const fault::FaultUniverse transition(nl, fault::FaultModel::kTransition);
+  const std::size_t tr = transition_detected(nl, transition.collapsed(), ps);
+  ASSERT_EQ(transition.size(), stuck.size());
   // Each transition detection implies the stuck-at detection of its capture
   // pattern; with the same list order the totals must satisfy <=.
-  EXPECT_LE(tr.detected, sa.detected);
-  EXPECT_GT(tr.percent(), 80.0);  // random pairs still work well at-speed
+  EXPECT_LE(tr, sa.detected);
+  EXPECT_GT(100.0 * static_cast<double>(tr) /
+                static_cast<double>(transition.size()),
+            80.0);  // random pairs still work well at-speed
 }
 
 // ---- exporters -----------------------------------------------------------------

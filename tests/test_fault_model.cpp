@@ -1,7 +1,7 @@
 // First-class fault-model taxonomy (stuck-at / transition / transient-SEU /
 // intermittent): naming round-trips, per-model activation streams, the
 // unified-universe transition grading pinned flag-for-flag against the
-// legacy simulate_transition oracle across engines x lanes x threads, the
+// serial oracle across engines x lanes x threads, the
 // windowed-model determinism matrix, the netlist release API, the
 // FaultUniverse store-codec version bump, and per-model session caching.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "core/evaluate.hpp"
 #include "fault/sim.hpp"
 #include "fault/sim_parallel.hpp"
-#include "fault/transition.hpp"
 #include "netlist/compiled.hpp"
 #include "netlist/eval.hpp"
 #include "rtlgen/alu.hpp"
@@ -112,17 +111,6 @@ TEST(FaultModelNaming, MalformedNamesAreRejected) {
   const FaultUniverse u(nl);
   const std::string good = fault_name(nl, u.collapsed()[0]);
   EXPECT_TRUE(parse_fault_name(nl, good, out));
-}
-
-TEST(FaultModelNaming, TransitionNamesDelegateToTheUnifiedNamer) {
-  const Netlist nl = rtlgen::build_comparator();
-  const std::vector<TransitionFault> tf = enumerate_transition_faults(nl);
-  const FaultUniverse u(nl, FaultModel::kTransition);
-  ASSERT_EQ(tf.size(), u.size());
-  for (std::size_t i = 0; i < tf.size(); ++i) {
-    EXPECT_EQ(transition_fault_name(nl, tf[i]),
-              fault_name(nl, u.collapsed()[i]));
-  }
 }
 
 TEST(FaultModelNaming, ModelNamesRoundTripWithAliases) {
@@ -230,7 +218,44 @@ TEST(FaultModelRouting, TransitionFaultsAreCombinationalOnly) {
                std::invalid_argument);
 }
 
-// ---- transition grading: unified taxonomy vs the legacy oracle -------------
+TEST(FaultModelRouting, IncrementalGradingIsBatchAdditiveForStuckAtOnly) {
+  const Netlist nl = rtlgen::build_comparator();
+  Rng rng(0x13);
+  PatternSet all(nl), first(nl), second(nl);
+  for (int p = 0; p < 96; ++p) {
+    std::vector<PortValue> values;
+    for (const netlist::Port& port : nl.input_ports()) {
+      values.emplace_back(port.name, rng.next64());
+    }
+    all.add(values);
+    (p < 37 ? first : second).add(values);
+  }
+  const EngineContext ctx(Engine::kEvent, nl, {});
+
+  const FaultUniverse sa(nl);
+  std::vector<std::uint8_t> flags(sa.size(), 0);
+  simulate_comb_into(ctx, sa.collapsed(), first, flags.data());
+  simulate_comb_into(ctx, sa.collapsed(), second, flags.data());
+  EXPECT_EQ(flags, simulate_serial(nl, sa.collapsed(), all).detected_flags);
+
+  // Activation indices and launch/capture pairs restart with every batch,
+  // so split batches of any other model would not match a one-shot grading.
+  for (const FaultModel model :
+       {FaultModel::kTransition, FaultModel::kTransientSEU,
+        FaultModel::kIntermittent}) {
+    const FaultUniverse u(nl, model);
+    std::vector<std::uint8_t> none(u.size(), 0);
+    EXPECT_THROW(simulate_comb_into(ctx, u.collapsed(), first, none.data()),
+                 std::invalid_argument)
+        << fault_model_name(model);
+  }
+}
+
+// ---- transition grading: production kernels vs the serial oracle -----------
+//
+// simulate_serial grades transition faults one fault at a time
+// (grade_transition_serial), independent of the block kernel every other
+// front door runs.
 
 TEST(TransitionDifferential, MatchesLegacyOracleOnEveryRtlgenComponent) {
   struct Component {
@@ -249,18 +274,24 @@ TEST(TransitionDifferential, MatchesLegacyOracleOnEveryRtlgenComponent) {
   for (const Component& c : components) {
     ASSERT_TRUE(c.nl.is_combinational()) << c.name;
     const PatternSet ps = random_patterns(rng, c.nl, 96);
-    const std::vector<TransitionFault> tf =
-        enumerate_transition_faults(c.nl);
-    const CoverageResult oracle = simulate_transition(c.nl, tf, ps);
     const FaultUniverse u(c.nl, FaultModel::kTransition);
-    ASSERT_EQ(u.size(), tf.size()) << c.name;
+    const CoverageResult oracle = simulate_serial(c.nl, u.collapsed(), ps);
+    EXPECT_GT(oracle.detected, 0u) << c.name;
 
-    // Serial front door.
+    // Single-threaded front doors: the block kernel, and the serial oracle
+    // itself on the event engine at both lane widths.
     expect_same_flags(oracle, simulate_comb(c.nl, u.collapsed(), ps), c.nl,
                       u.collapsed(), c.name);
+    for (const unsigned lanes : {1u, 4u}) {
+      const std::string label =
+          std::string(c.name) + "/serial/event/l" + std::to_string(lanes);
+      expect_same_flags(oracle,
+                        simulate_serial(c.nl, u.collapsed(), ps, {},
+                                        Engine::kEvent, lanes),
+                        c.nl, u.collapsed(), label.c_str());
+    }
     // Parallel front door: engine x lane-width x thread-count matrix.
-    for (const Engine engine :
-         {Engine::kReference, Engine::kCompiled, Engine::kEvent}) {
+    for (const Engine engine : {Engine::kReference, Engine::kEvent}) {
       for (const unsigned lanes : {1u, 4u}) {
         for (const unsigned threads : {1u, 2u, 8u}) {
           SimOptions so;
@@ -294,8 +325,7 @@ TEST(WindowedDeterminism, CombinationalMatrixIsBitwiseIdentical) {
     const CoverageResult oracle = simulate_serial(nl, u.collapsed(), ps);
     EXPECT_GT(oracle.detected, 0u);
     EXPECT_LT(oracle.detected, oracle.total);
-    for (const Engine engine :
-         {Engine::kReference, Engine::kCompiled, Engine::kEvent}) {
+    for (const Engine engine : {Engine::kReference, Engine::kEvent}) {
       for (const unsigned lanes : {1u, 4u}) {
         for (const unsigned threads : {1u, 2u, 8u}) {
           for (const bool lane_parallel : {false, true}) {
@@ -327,8 +357,7 @@ TEST(WindowedDeterminism, SequentialMatrixIsBitwiseIdentical) {
        {FaultModel::kTransientSEU, FaultModel::kIntermittent}) {
     const FaultUniverse u(nl, model);
     const CoverageResult oracle = simulate_seq(nl, u.collapsed(), st);
-    for (const Engine engine :
-         {Engine::kReference, Engine::kCompiled, Engine::kEvent}) {
+    for (const Engine engine : {Engine::kReference, Engine::kEvent}) {
       for (const unsigned threads : {1u, 2u, 8u}) {
         SimOptions so;
         so.engine = engine;

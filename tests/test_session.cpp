@@ -89,8 +89,7 @@ TEST(GradingSession, EvaluationIdenticalAcrossCacheEngineAndThreads) {
 
   for (bool cache : {true, false}) {
     for (fault::Engine engine :
-         {fault::Engine::kReference, fault::Engine::kCompiled,
-          fault::Engine::kEvent}) {
+         {fault::Engine::kReference, fault::Engine::kEvent}) {
       for (unsigned threads : {1u, 2u, 8u}) {
         const std::string what = std::string("cache=") +
                                  (cache ? "on" : "off") + " engine=" +

@@ -552,45 +552,43 @@ TEST(StoreSession, ColdAndWarmAreBitwiseIdenticalToStoreOff) {
       evaluate_program(base_session, f.builder, f.program, base_options);
   EXPECT_GT(baseline.overall_fc(), 0.0);
 
-  for (fault::Engine engine :
-       {fault::Engine::kCompiled, fault::Engine::kEvent}) {
-    for (unsigned lanes : {1u, 4u}) {
-      TempStoreDir dir(std::string("diff-") + fault::engine_name(engine) +
-                       "-" + std::to_string(lanes));
-      for (unsigned threads : {1u, 2u}) {
-        const std::string what = std::string("engine=") +
-                                 fault::engine_name(engine) + " lanes=" +
-                                 std::to_string(lanes) + " threads=" +
-                                 std::to_string(threads);
-        EvalOptions options = small_options();
-        options.sim.engine = engine;
+  const fault::Engine engine = fault::Engine::kEvent;
+  for (unsigned lanes : {1u, 4u}) {
+    TempStoreDir dir(std::string("diff-") + fault::engine_name(engine) +
+                     "-" + std::to_string(lanes));
+    for (unsigned threads : {1u, 2u}) {
+      const std::string what = std::string("engine=") +
+                               fault::engine_name(engine) + " lanes=" +
+                               std::to_string(lanes) + " threads=" +
+                               std::to_string(threads);
+      EvalOptions options = small_options();
+      options.sim.engine = engine;
 
-        // Cold pass: first thread count populates the store; warm pass
-        // reloads every artifact. Both must match the store-off baseline.
-        auto store = std::make_shared<store::ArtifactStore>(dir.str());
-        options.sim.store = store.get();
-        GradingSession session(
-            f.model, store_session_options(store, engine, lanes, threads));
-        const ProgramEvaluation ev =
-            evaluate_program(session, f.builder, f.program, options);
-        expect_same_evaluation(baseline, ev, what);
+      // Cold pass: first thread count populates the store; warm pass
+      // reloads every artifact. Both must match the store-off baseline.
+      auto store = std::make_shared<store::ArtifactStore>(dir.str());
+      options.sim.store = store.get();
+      GradingSession session(
+          f.model, store_session_options(store, engine, lanes, threads));
+      const ProgramEvaluation ev =
+          evaluate_program(session, f.builder, f.program, options);
+      expect_same_evaluation(baseline, ev, what);
 
-        const SessionStats stats = session.stats();
-        EXPECT_EQ(stats.store_loads,
-                  stats.store_hits + stats.store_misses + stats.store_invalid)
-            << what;
-        if (threads == 1u) {
-          // First run against this directory: everything missed and was
-          // written back.
-          EXPECT_GT(stats.store_misses, 0u) << what;
-          EXPECT_GT(stats.store_writes, 0u) << what;
-        } else {
-          // Warm run: the store-served artifacts are never rebuilt.
-          EXPECT_GT(stats.store_hits, 0u) << what;
-          EXPECT_EQ(stats.universe_builds, 0u) << what;
-          EXPECT_EQ(stats.decode_builds, 0u) << what;
-          EXPECT_EQ(stats.goodrun_builds, 0u) << what;
-        }
+      const SessionStats stats = session.stats();
+      EXPECT_EQ(stats.store_loads,
+                stats.store_hits + stats.store_misses + stats.store_invalid)
+          << what;
+      if (threads == 1u) {
+        // First run against this directory: everything missed and was
+        // written back.
+        EXPECT_GT(stats.store_misses, 0u) << what;
+        EXPECT_GT(stats.store_writes, 0u) << what;
+      } else {
+        // Warm run: the store-served artifacts are never rebuilt.
+        EXPECT_GT(stats.store_hits, 0u) << what;
+        EXPECT_EQ(stats.universe_builds, 0u) << what;
+        EXPECT_EQ(stats.decode_builds, 0u) << what;
+        EXPECT_EQ(stats.goodrun_builds, 0u) << what;
       }
     }
   }

@@ -22,10 +22,10 @@
 //   --threads N / -j N   fault-simulation worker threads (also SBST_THREADS
 //                        env var; default: hardware concurrency)
 //   --no-lane-parallel   disable PPSFP lane packing of faults
-//   --engine NAME        evaluation engine: reference | compiled | event
+//   --engine NAME        evaluation engine: reference | event
 //                        (also SBST_ENGINE env var; default: event)
-//   --lanes N            lane-block width in 64-bit words for the compiled
-//                        engines: 1 or 4 (also SBST_LANES env var; default
+//   --lanes N            lane-block width in 64-bit words for the event
+//                        engine: 1 or 4 (also SBST_LANES env var; default
 //                        4 = 255 faults + good machine per pass; results
 //                        are identical for every width)
 //   --netlist-opt / --no-netlist-opt
@@ -124,7 +124,7 @@ int usage() {
       "SBST_THREADS;\n"
       "                              default: hardware concurrency)\n"
       "         --no-lane-parallel   disable PPSFP lane packing of faults\n"
-      "         --engine NAME        reference | compiled | event (env "
+      "         --engine NAME        reference | event (env "
       "SBST_ENGINE;\n"
       "                              default: event)\n"
       "         --lanes N            lane-block width in words: 1 | 4 (env "
