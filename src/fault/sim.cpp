@@ -110,6 +110,29 @@ CoverageResult simulate_serial(const Netlist& nl,
   return res;
 }
 
+CoverageResult simulate_serial(const Netlist& nl,
+                               const std::vector<Fault>& faults,
+                               const SeqStimulus& stimulus,
+                               const ObserveSet& observe) {
+  const detail::Activation act = detail::activation_of(faults);
+  if (act == detail::Activation::kTransition) {
+    throw std::invalid_argument(
+        "simulate_serial: transition faults are combinational-only "
+        "(launch/capture pattern pairs); grade them against a PatternSet");
+  }
+  const ObserveSet resolved = detail::resolve_observe(nl, observe);
+  CoverageResult res;
+  res.total = faults.size();
+  res.detected_flags.assign(faults.size(), 0);
+  Evaluator ev(nl);
+  detail::with_activation(act, [&](auto tag) {
+    detail::grade_seq_serial<decltype(tag)::value>(
+        ev, faults, stimulus, resolved, res.detected_flags.data());
+  });
+  res.recount();
+  return res;
+}
+
 CoverageResult simulate_comb(const Netlist& nl,
                              const std::vector<Fault>& faults,
                              const PatternSet& patterns,

@@ -5,9 +5,11 @@
 // the fault-free response:
 //
 //  * simulate_serial:   one fault at a time, one pattern (or, for transition
-//                       faults, one 64-pattern block) at a time. The one
-//                       independent oracle the fast paths are cross-checked
-//                       against in tests, for every fault model.
+//                       faults, one 64-pattern block) at a time; the
+//                       SeqStimulus overload runs one fault through the
+//                       whole clocked stimulus. The independent oracles the
+//                       fast paths are cross-checked against in tests, for
+//                       every fault model.
 //  * simulate_comb:     PPSFP — 64 packed patterns per pass, one fault
 //                       re-simulated per pass with fault dropping.
 //                       Combinational netlists only.
@@ -34,12 +36,13 @@ namespace sbst::fault {
 /// outputs a self-test routine actually propagates). Empty = all outputs.
 using ObserveSet = std::vector<netlist::NetId>;
 
-// Each simulator accepts an evaluation Engine (engine.hpp). The default is
-// kReference so simulate_serial stays independent of the compiled
-// evaluator; detection flags are bitwise-identical for every engine, lane
-// width, and optimization setting. `lanes` is the lane-block width in words
-// for the event engine (0 = default_lanes(); the reference engine ignores
-// it).
+// Each simulator except the clocked simulate_serial (which always runs the
+// reference Evaluator) accepts an evaluation Engine (engine.hpp). The
+// default is kReference so simulate_serial stays independent of the
+// compiled evaluator; detection flags are bitwise-identical for every
+// engine, lane width, and optimization setting. `lanes` is the lane-block
+// width in words for the event engine (0 = default_lanes(); the reference
+// engine ignores it).
 
 CoverageResult simulate_serial(const netlist::Netlist& nl,
                                const std::vector<Fault>& faults,
@@ -47,6 +50,15 @@ CoverageResult simulate_serial(const netlist::Netlist& nl,
                                const ObserveSet& observe = {},
                                Engine engine = Engine::kReference,
                                unsigned lanes = 0);
+
+/// The sequential serial oracle: one fault at a time through the whole
+/// clocked `stimulus` on the reference Evaluator, no lane packing.
+/// Stuck-at, transient SEU and intermittent; transition faults throw
+/// std::invalid_argument.
+CoverageResult simulate_serial(const netlist::Netlist& nl,
+                               const std::vector<Fault>& faults,
+                               const SeqStimulus& stimulus,
+                               const ObserveSet& observe = {});
 
 CoverageResult simulate_comb(const netlist::Netlist& nl,
                              const std::vector<Fault>& faults,

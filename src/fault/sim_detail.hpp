@@ -1,15 +1,19 @@
 // Grading kernels shared by the simulators in sim.cpp and sim_parallel.cpp.
 // Internal to src/fault.
 //
-// Six kernels cover every fault model and schedule:
+// Seven kernels cover every fault model and schedule — three serial oracles
+// and four production kernels:
 //
-//  * grade_serial / grade_transition_serial: one fault at a time — the
-//    oracle loops behind simulate_serial;
+//  * grade_serial / grade_seq_serial / grade_transition_serial: one fault
+//    at a time — the oracle loops behind simulate_serial (combinational,
+//    clocked, and launch/capture respectively);
 //  * grade_blocks: PPSFP, Ev::kWords 64-pattern blocks per eval, one fault
 //    per eval with fault dropping;
 //  * grade_lanes: lane packing, the good machine in lane 0 and one faulty
-//    machine per other lane, one broadcast pattern per eval;
-//  * grade_seq: lane packing through a clocked stimulus;
+//    machine per other lane, one broadcast pattern per eval, with
+//    drop-and-repack of detected faults between segments;
+//  * grade_seq: lane packing through a clocked stimulus, with the same
+//    drop-and-repack (flip-flop lane bits move with their fault);
 //  * grade_transition_blocks: launch/capture pairing on the block schedule.
 //
 // Every kernel except the transition pair is templated on an Activation
@@ -19,9 +23,11 @@
 //
 // The kernels are also templated on the evaluator type, so they run
 // unchanged on the reference Evaluator and the event-driven compiled
-// evaluator at either lane width (see engine.hpp). They follow a
-// single-evaluator discipline — good-machine pass, then per fault
-// inject / eval / observe / clear_faults — which the event-driven engine
+// evaluator at either lane width (see engine.hpp). Each call uses ONE
+// evaluator: grade_seq parks every lane batch's flip-flops in a small
+// save_state() buffer instead of building an evaluator per batch, and the
+// per-fault kernels follow a good-machine pass, then per fault
+// inject / eval / observe / clear_faults, which the event-driven engine
 // turns into one fanout-cone propagation plus an O(touched) revert per
 // fault. `reach` (nullable) is the output-cone prefilter: a fault whose
 // site cannot structurally reach the observe set is skipped, which cannot
@@ -139,18 +145,77 @@ std::vector<std::uint64_t> stream_keys(const std::vector<Fault>& faults,
   return keys;
 }
 
-/// Lane-packed kernels under kWindowed: forces lane j + 1 with fault
-/// base + j exactly while its stream is on at index `t`. Releasing a lane
-/// keeps every other lane's force intact.
+// ---- lane-packed drop-and-repack ------------------------------------------
+//
+// grade_lanes and grade_seq keep a chunk's still-undetected faults in a live
+// list, fault-index order, 64 * Ev::kWords - 1 per batch: live position p
+// rides lane p % batch + 1 of batch p / batch, and lane 0 of every batch is
+// the fault-free machine. All batches advance in lockstep segments of
+// kRepackSegment steps; after each segment the survivors are counted from
+// the flags and, when they fit in fewer batches, repacked. Every lane is an
+// independent machine whose future depends only on its own flip-flop bits,
+// its force, its stream key and the global step index, so regrouping lanes
+// between segments never changes a flag (docs/METHODOLOGY.md).
+
+/// Steps (patterns or clock cycles) every batch runs between repacks.
+inline constexpr std::size_t kRepackSegment = 16;
+
+/// Faults of [begin, end) that get a lane: with a `reach` prefilter, only
+/// those structurally able to reach the observe set at all.
+inline std::vector<std::size_t> live_faults(const std::vector<Fault>& faults,
+                                            std::size_t begin, std::size_t end,
+                                            const std::uint8_t* reach) {
+  std::vector<std::size_t> live;
+  for (std::size_t f = begin; f < end; ++f) {
+    if (!reach || reach[faults[f].site.gate]) live.push_back(f);
+  }
+  return live;
+}
+
+inline std::size_t batch_count(std::size_t n, std::size_t fault_lanes) {
+  return (n + fault_lanes - 1) / fault_lanes;
+}
+
+/// Batch `b` of a live list: faults idx[0..n) ride lanes 1..n.
+struct LaneBatch {
+  const std::size_t* idx;
+  std::size_t n;
+};
+
+inline LaneBatch lane_batch(const std::vector<std::size_t>& live,
+                            std::size_t b, std::size_t fault_lanes) {
+  const std::size_t first = b * fault_lanes;
+  return {live.data() + first, std::min(fault_lanes, live.size() - first)};
+}
+
+/// Clears every force and arms a batch for one segment: under kAlways each
+/// lane's fault is forced for the whole segment; under kWindowed every lane
+/// starts released and toggle_lanes forces it step by step.
+template <Activation A, class Ev>
+void arm_lanes(Ev& ev, const std::vector<Fault>& faults,
+               const LaneBatch& batch, std::vector<std::uint8_t>& active) {
+  ev.clear_faults();
+  if constexpr (A == Activation::kAlways) {
+    for (std::size_t j = 0; j < batch.n; ++j) {
+      const Fault& f = faults[batch.idx[j]];
+      ev.inject_lane(f.site, f.stuck_value, static_cast<unsigned>(j + 1));
+    }
+  } else {
+    active.assign(batch.n, 0);
+  }
+}
+
+/// kWindowed: forces lane j + 1 with fault idx[j] exactly while its stream
+/// is on at step `t`. `keys` is indexed by fault index - `begin`. Releasing
+/// a lane keeps every other lane's force intact.
 template <class Ev>
-void toggle_lanes(Ev& ev, const std::vector<Fault>& faults, std::size_t base,
-                  std::size_t batch, const std::uint64_t* keys,
-                  std::uint64_t t, const std::uint8_t* reach,
+void toggle_lanes(Ev& ev, const std::vector<Fault>& faults,
+                  const LaneBatch& batch, const std::uint64_t* keys,
+                  std::size_t begin, std::uint64_t t,
                   std::vector<std::uint8_t>& active) {
-  for (std::size_t j = 0; j < batch; ++j) {
-    const Fault& f = faults[base + j];
-    if (reach && !reach[f.site.gate]) continue;
-    const bool on = fault_active(keys[j], f.model, t);
+  for (std::size_t j = 0; j < batch.n; ++j) {
+    const Fault& f = faults[batch.idx[j]];
+    const bool on = fault_active(keys[batch.idx[j] - begin], f.model, t);
     if (on == static_cast<bool>(active[j])) continue;
     if (on) {
       ev.inject_lane(f.site, f.stuck_value, static_cast<unsigned>(j + 1));
@@ -161,13 +226,62 @@ void toggle_lanes(Ev& ev, const std::vector<Fault>& faults, std::size_t base,
   }
 }
 
-/// Sets the flag of fault base + j for every detected lane j + 1.
+/// Sets the flag of fault idx[j] for every detected lane j + 1.
 template <unsigned W>
-void write_lane_flags(const std::uint64_t (&detected)[W], std::size_t base,
-                      std::size_t batch, std::uint8_t* flags) {
-  for (std::size_t j = 0; j < batch; ++j) {
-    if ((detected[(j + 1) / 64] >> ((j + 1) % 64)) & 1u) flags[base + j] = 1;
+void flag_lanes(const std::uint64_t (&detected)[W], const LaneBatch& batch,
+                std::uint8_t* flags) {
+  for (std::size_t j = 0; j < batch.n; ++j) {
+    if ((detected[(j + 1) / 64] >> ((j + 1) % 64)) & 1u) {
+      flags[batch.idx[j]] = 1;
+    }
   }
+}
+
+/// grade_seq between segments: drops flagged faults and, when the survivors
+/// fit in fewer batches, repacks them in fault-index order, moving each
+/// survivor's flip-flop lane bits (`state[b]` holds batch b's save_state()
+/// words) into its new lane. Lane 0 is the same good machine in every batch
+/// and is copied from batch 0. Survivors are counted from `flags`, never
+/// from one segment's detected bits: a lane detected earlier usually shows
+/// no difference later. Returns false when no fault survives.
+template <unsigned W>
+bool repack_lanes(std::vector<std::size_t>& live,
+                  std::vector<std::vector<std::uint64_t>>& state,
+                  const std::uint8_t* flags) {
+  constexpr std::size_t kFaultLanes = 64 * W - 1;
+  std::vector<std::size_t> from;  // live positions of the survivors
+  for (std::size_t p = 0; p < live.size(); ++p) {
+    if (!flags[live[p]]) from.push_back(p);
+  }
+  if (from.empty()) return false;
+  const std::size_t n_batches = batch_count(from.size(), kFaultLanes);
+  if (n_batches == state.size()) return true;
+  const std::size_t n_words = state.front().size();
+  std::vector<std::vector<std::uint64_t>> packed(
+      n_batches, std::vector<std::uint64_t>(n_words, 0));
+  auto move_lane = [n_words](const std::vector<std::uint64_t>& src,
+                             std::size_t src_lane,
+                             std::vector<std::uint64_t>& dst,
+                             std::size_t dst_lane) {
+    for (std::size_t k = 0; k < n_words; k += W) {
+      const std::uint64_t bit =
+          (src[k + src_lane / 64] >> (src_lane % 64)) & 1u;
+      dst[k + dst_lane / 64] |= bit << (dst_lane % 64);
+    }
+  };
+  std::vector<std::size_t> survivors(from.size());
+  for (std::size_t q = 0; q < from.size(); ++q) {
+    const std::size_t p = from[q];
+    move_lane(state[p / kFaultLanes], p % kFaultLanes + 1,
+              packed[q / kFaultLanes], q % kFaultLanes + 1);
+    survivors[q] = live[p];
+  }
+  for (std::vector<std::uint64_t>& batch : packed) {
+    move_lane(state.front(), 0, batch, 0);
+  }
+  live = std::move(survivors);
+  state = std::move(packed);
+  return true;
 }
 
 // ---- kernels ---------------------------------------------------------------
@@ -273,13 +387,13 @@ void grade_blocks(Ev& ev, const std::vector<Fault>& faults, std::size_t begin,
 }
 
 /// Lane-packed grading of faults [begin, end): lane 0 is the fault-free
-/// machine, lanes 1.. carry faulty machines, each pattern is broadcast into
-/// all lanes. Under kAlways every lane is forced once per batch; under
-/// kWindowed lanes are forced and released per pattern as their streams
-/// switch. A batch stops consuming patterns once every injected lane has
-/// been detected. A fault's detection depends only on its own lane, so flags
-/// are independent of batch composition — chunk boundaries, thread count,
-/// and lane width all wash out.
+/// machine, lanes 1.. carry the live faults, each pattern is broadcast into
+/// all lanes. Patterns run in segments of kRepackSegment; a combinational
+/// lane has no state, so after every segment the detected faults simply
+/// leave the live list and the next segment re-arms the survivors' forces.
+/// A fault's detection depends only on its own lane, so flags are
+/// independent of batch composition — chunk boundaries, thread count and
+/// lane width all wash out.
 template <Activation A, class Ev>
 void grade_lanes(Ev& ev, const std::vector<Fault>& faults, std::size_t begin,
                  std::size_t end, const PatternSet& patterns,
@@ -288,46 +402,38 @@ void grade_lanes(Ev& ev, const std::vector<Fault>& faults, std::size_t begin,
   constexpr unsigned W = Ev::kWords;
   constexpr std::size_t kFaultLanes = 64 * W - 1;  // lane 0 = good machine
   const std::vector<std::uint64_t> keys = stream_keys<A>(faults, begin, end);
+  std::vector<std::size_t> live = live_faults(faults, begin, end, reach);
   std::vector<std::uint8_t> active;  // kWindowed: lane j + 1 is forced
-  for (std::size_t base = begin; base < end; base += kFaultLanes) {
-    const std::size_t batch = std::min<std::size_t>(kFaultLanes, end - base);
-    ev.clear_faults();
-    std::uint64_t batch_lanes[W] = {};
-    for (std::size_t j = 0; j < batch; ++j) {
-      const Fault& f = faults[base + j];
-      if (reach && !reach[f.site.gate]) continue;
-      if constexpr (A == Activation::kAlways) {
-        ev.inject_lane(f.site, f.stuck_value, static_cast<unsigned>(j + 1));
-      }
-      batch_lanes[(j + 1) / 64] |= std::uint64_t{1} << ((j + 1) % 64);
-    }
-    if constexpr (A == Activation::kWindowed) active.assign(batch, 0);
-    std::uint64_t detected[W] = {};
-    auto all_done = [&] {
-      for (unsigned w = 0; w < W; ++w) {
-        if ((detected[w] & batch_lanes[w]) != batch_lanes[w]) return false;
-      }
-      return true;
-    };
-    for (std::size_t p = 0; p < patterns.size() && !all_done(); ++p) {
-      if constexpr (A == Activation::kWindowed) {
-        toggle_lanes(ev, faults, base, batch, keys.data() + (base - begin), p,
-                     reach, active);
-      }
-      apply_pattern_broadcast(ev, patterns, p);
-      ev.eval();
-      for (netlist::NetId out : observe) {
-        for (unsigned w = 0; w < W; ++w) {
-          detected[w] |= ev.diff_word(out, w, 0);
+  for (std::size_t p0 = 0; p0 < patterns.size() && !live.empty();
+       p0 += kRepackSegment) {
+    const std::size_t p1 = std::min(p0 + kRepackSegment, patterns.size());
+    for (std::size_t b = 0; b < batch_count(live.size(), kFaultLanes); ++b) {
+      const LaneBatch batch = lane_batch(live, b, kFaultLanes);
+      arm_lanes<A>(ev, faults, batch, active);
+      std::uint64_t detected[W] = {};
+      for (std::size_t p = p0; p < p1; ++p) {
+        if constexpr (A == Activation::kWindowed) {
+          toggle_lanes(ev, faults, batch, keys.data(), begin, p, active);
+        }
+        apply_pattern_broadcast(ev, patterns, p);
+        ev.eval();
+        for (netlist::NetId out : observe) {
+          for (unsigned w = 0; w < W; ++w) {
+            detected[w] |= ev.diff_word(out, w, 0);
+          }
         }
       }
+      flag_lanes(detected, batch, flags);
     }
-    write_lane_flags(detected, base, batch, flags);
+    std::erase_if(live, [flags](std::size_t f) { return flags[f] != 0; });
   }
 }
 
 /// Lane-packed sequential grading of faults [begin, end) through the whole
-/// clocked stimulus, 64 * Ev::kWords - 1 faults per batch. Under kWindowed,
+/// clocked stimulus. Batches run in lockstep segments of kRepackSegment
+/// cycles on ONE evaluator: each batch's flip-flops are parked in a
+/// save_state() buffer between its segments, and repack_lanes moves the
+/// survivors into fewer batches as soon as they fit. Under kWindowed,
 /// releasing a lane's force mid-run releases only the FORCE — any state
 /// divergence the active window seeded persists in that lane's flip-flops,
 /// which is exactly the transient-SEU / intermittent semantics: a one-cycle
@@ -341,41 +447,98 @@ void grade_seq(Ev& ev, const std::vector<Fault>& faults, std::size_t begin,
   constexpr std::size_t kFaultLanes = 64 * W - 1;  // lane 0 = good machine
   const auto& inputs = ev.netlist().inputs();
   const std::vector<std::uint64_t> keys = stream_keys<A>(faults, begin, end);
+  std::vector<std::size_t> live = live_faults(faults, begin, end, reach);
+  if (live.empty()) return;
+  ev.clear_faults();
+  ev.reset_state(false);
+  std::vector<std::uint64_t> reset;
+  ev.save_state(reset);
+  std::vector<std::vector<std::uint64_t>> state(
+      batch_count(live.size(), kFaultLanes), reset);
   std::vector<std::uint8_t> active;  // kWindowed: lane j + 1 is forced
-  for (std::size_t base = begin; base < end; base += kFaultLanes) {
-    const std::size_t batch = std::min<std::size_t>(kFaultLanes, end - base);
-    ev.clear_faults();
-    ev.reset_state(false);
-    if constexpr (A == Activation::kAlways) {
-      for (std::size_t j = 0; j < batch; ++j) {
-        const Fault& f = faults[base + j];
-        if (reach && !reach[f.site.gate]) continue;
-        ev.inject_lane(f.site, f.stuck_value, static_cast<unsigned>(j + 1));
-      }
-    } else {
-      active.assign(batch, 0);
-    }
-    std::uint64_t detected[W] = {};
-    for (std::size_t c = 0; c < stimulus.size(); ++c) {
-      if constexpr (A == Activation::kWindowed) {
-        toggle_lanes(ev, faults, base, batch, keys.data() + (base - begin), c,
-                     reach, active);
-      }
-      for (std::size_t k = 0; k < inputs.size(); ++k) {
-        ev.set_input(inputs[k], stimulus.input_bit(c, k));
-      }
-      // Every input changes each cycle, so the frontier is netlist-wide.
-      ev.request_full_eval();
-      ev.step();
-      if (stimulus.observed(c)) {
-        for (netlist::NetId out : observe) {
-          for (unsigned w = 0; w < W; ++w) {
-            detected[w] |= ev.diff_word(out, w, 0);
+  for (std::size_t c0 = 0; c0 < stimulus.size(); c0 += kRepackSegment) {
+    const std::size_t c1 = std::min(c0 + kRepackSegment, stimulus.size());
+    for (std::size_t b = 0; b < state.size(); ++b) {
+      const LaneBatch batch = lane_batch(live, b, kFaultLanes);
+      ev.load_state(state[b]);
+      arm_lanes<A>(ev, faults, batch, active);
+      std::uint64_t detected[W] = {};
+      for (std::size_t c = c0; c < c1; ++c) {
+        if constexpr (A == Activation::kWindowed) {
+          toggle_lanes(ev, faults, batch, keys.data(), begin, c, active);
+        }
+        for (std::size_t k = 0; k < inputs.size(); ++k) {
+          ev.set_input(inputs[k], stimulus.input_bit(c, k));
+        }
+        // Every input changes each cycle, so the frontier is netlist-wide.
+        ev.request_full_eval();
+        ev.step();
+        if (stimulus.observed(c)) {
+          for (netlist::NetId out : observe) {
+            for (unsigned w = 0; w < W; ++w) {
+              detected[w] |= ev.diff_word(out, w, 0);
+            }
           }
         }
       }
+      flag_lanes(detected, batch, flags);
+      ev.save_state(state[b]);
     }
-    write_lane_flags(detected, base, batch, flags);
+    if (!repack_lanes<W>(live, state, flags)) break;
+  }
+}
+
+/// The sequential serial oracle, on the reference evaluator: one fault at a
+/// time through the whole clocked stimulus, forced in every lane (no lane
+/// packing, no batches, no segments), compared with the fault-free
+/// responses recorded once up front. Under kWindowed the force is applied
+/// exactly at the cycles the fault's stream is on; the flip-flops keep
+/// whatever a window seeded.
+template <Activation A>
+void grade_seq_serial(netlist::Evaluator& ev, const std::vector<Fault>& faults,
+                      const SeqStimulus& stimulus, const ObserveSet& observe,
+                      std::uint8_t* flags) {
+  const auto& inputs = ev.netlist().inputs();
+  const std::vector<std::uint64_t> keys =
+      stream_keys<A>(faults, 0, faults.size());
+  auto clock = [&](std::size_t c) {
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      ev.set_input(inputs[k], stimulus.input_bit(c, k));
+    }
+    ev.step();
+  };
+  std::vector<std::uint8_t> good(stimulus.size() * observe.size());
+  ev.clear_faults();
+  ev.reset_state(false);
+  for (std::size_t c = 0; c < stimulus.size(); ++c) {
+    clock(c);
+    for (std::size_t o = 0; o < observe.size(); ++o) {
+      good[c * observe.size() + o] = ev.value(observe[o]) & 1u;
+    }
+  }
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    const Fault& fault = faults[f];
+    ev.clear_faults();
+    ev.reset_state(false);
+    if constexpr (A == Activation::kAlways) {
+      ev.inject_broadcast(fault.site, fault.stuck_value);
+    }
+    for (std::size_t c = 0; c < stimulus.size() && !flags[f]; ++c) {
+      if constexpr (A == Activation::kWindowed) {
+        ev.clear_faults();
+        if (fault_active(keys[f], fault.model, c)) {
+          ev.inject_broadcast(fault.site, fault.stuck_value);
+        }
+      }
+      clock(c);
+      if (!stimulus.observed(c)) continue;
+      for (std::size_t o = 0; o < observe.size(); ++o) {
+        if ((ev.value(observe[o]) & 1u) != good[c * observe.size() + o]) {
+          flags[f] = 1;
+          break;
+        }
+      }
+    }
   }
 }
 

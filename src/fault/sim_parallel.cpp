@@ -10,11 +10,12 @@ namespace sbst::fault {
 namespace {
 
 // Faults per fault-partitioned task: a multiple of the context's lane-packed
-// batch size (64 * lanes - 1), so batches stay full; small enough that
-// static striding load-balances fault dropping, large enough to amortize
-// per-task evaluator construction. Depends only on the context (never the
-// thread count), so chunk boundaries — and therefore flags — stay
-// deterministic.
+// batch size (64 * lanes - 1), so batches start full and repacking has
+// several batches to merge; small enough that static striding load-balances
+// fault dropping, large enough to amortize per-task evaluator construction.
+// Depends only on the context (never the thread count), so chunk
+// boundaries stay deterministic (flags would not move anyway: each lane is
+// an independent machine).
 std::size_t chunk_faults(const EngineContext& ctx) {
   const std::size_t batch = 64 * ctx.lanes() - 1;
   return batch * std::max<std::size_t>(1, 1008 / batch);

@@ -2,8 +2,8 @@
 // grading kernels in sim_detail.hpp.
 //
 // Both front doors grade the same contract as sim.hpp and are cross-checked
-// against the simulate_serial oracle by the differential tests in
-// tests/test_fault_parallel.cpp:
+// against the simulate_serial oracles (combinational and clocked) by the
+// differential tests in tests/test_fault_parallel.cpp:
 //
 //  * simulate_comb_parallel: combinational grading. With
 //    SimOptions::lane_parallel the evaluator's bit-lanes carry the good
@@ -12,7 +12,11 @@
 //    PPSFP over its fault slice (grade_blocks). Transition faults always run
 //    the launch/capture block kernel.
 //  * simulate_seq_parallel: sequential grading; workers run the lane-packed
-//    grade_seq batches over disjoint fault slices.
+//    grade_seq over disjoint fault slices.
+//
+// Each chunk task grades one fault slice on one evaluator. The lane-packed
+// kernels drop detected faults and repack the survivors into fewer lane
+// batches every kRepackSegment steps, but only ever within their own chunk.
 //
 // simulate_comb and simulate_seq (sim.hpp) are these front doors on one
 // thread with the block schedule.
@@ -32,10 +36,12 @@
 // what keeps the pool busy without ever oversubscribing.
 //
 // Determinism: a fault's detection flag depends only on that fault, the
-// netlist, and the stimulus — never on which lane, batch, thread, or engine
-// graded it — and workers write disjoint slices of one shared flag vector.
-// Results are therefore bitwise-identical for every thread count, including
-// 1, and for every engine.
+// netlist, and the stimulus — never on which lane, batch, segment, thread,
+// or engine graded it, nor on which faults shared its batch or were dropped
+// beside it — and workers write disjoint slices of one shared flag vector.
+// Chunk boundaries are a function of the EngineContext alone (never of the
+// thread count). Results are therefore bitwise-identical for every thread
+// count, including 1, every lane width, and every engine.
 #pragma once
 
 #include <deque>

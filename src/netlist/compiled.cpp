@@ -1222,6 +1222,25 @@ void CompiledEvaluatorT<W>::reset_state(bool value) {
   if (state_changed && has_faults_) invalidate_undo();
 }
 
+template <unsigned W>
+void CompiledEvaluatorT<W>::save_state(std::vector<std::uint64_t>& out) const {
+  const std::vector<NetId>& dffs = cn_->dffs_;
+  out.resize(dffs.size() * W);
+  for (std::size_t k = 0; k < dffs.size(); ++k) {
+    for (unsigned i = 0; i < W; ++i) out[k * W + i] = state_[dffs[k] * W + i];
+  }
+}
+
+template <unsigned W>
+void CompiledEvaluatorT<W>::load_state(const std::vector<std::uint64_t>& in) {
+  const std::vector<NetId>& dffs = cn_->dffs_;
+  for (std::size_t k = 0; k < dffs.size(); ++k) {
+    for (unsigned i = 0; i < W; ++i) state_[dffs[k] * W + i] = in[k * W + i];
+  }
+  invalidate_undo();
+  full_pending_ = true;
+}
+
 template class CompiledEvaluatorT<1>;
 template class CompiledEvaluatorT<4>;
 

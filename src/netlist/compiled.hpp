@@ -288,6 +288,15 @@ class CompiledEvaluatorT {
   void step();
   void reset_state(bool value = false);
 
+  /// Copies the W-word state block of every live DFF, in dffs order, into
+  /// `out` (resized to fit). Lane-packed graders park one batch's
+  /// flip-flops here while the same evaluator runs another batch.
+  void save_state(std::vector<std::uint64_t>& out) const;
+  /// Restores DFF state saved by save_state() on this evaluator. The next
+  /// eval() is a full sweep and the undo log is invalidated, since every
+  /// lane's baseline may have moved.
+  void load_state(const std::vector<std::uint64_t>& in);
+
   /// Marks the next eval() as a full sweep. Callers that change the whole
   /// stimulus at once (a lane-packed grader broadcasting a fresh pattern to
   /// every input) issue this instead of letting the worklist rediscover a

@@ -157,6 +157,17 @@ void Evaluator::reset_state(bool value) {
   for (NetId q : nl_->dffs()) state_[q] = w;
 }
 
+void Evaluator::save_state(std::vector<std::uint64_t>& out) const {
+  const std::vector<NetId>& dffs = nl_->dffs();
+  out.resize(dffs.size());
+  for (std::size_t i = 0; i < dffs.size(); ++i) out[i] = state_[dffs[i]];
+}
+
+void Evaluator::load_state(const std::vector<std::uint64_t>& in) {
+  const std::vector<NetId>& dffs = nl_->dffs();
+  for (std::size_t i = 0; i < dffs.size(); ++i) state_[dffs[i]] = in[i];
+}
+
 std::uint64_t Evaluator::diff_mask(NetId net, unsigned ref_lane) const {
   const std::uint64_t v = values_[net];
   const std::uint64_t ref = (v >> ref_lane) & 1u ? ~std::uint64_t{0} : 0;

@@ -117,6 +117,13 @@ class Evaluator {
   /// or all-ones).
   void reset_state(bool value = false);
 
+  /// Copies every DFF's state word, in nl.dffs() order, into `out` (resized
+  /// to fit). Lane-packed graders park one batch's flip-flops here while the
+  /// same evaluator runs another batch.
+  void save_state(std::vector<std::uint64_t>& out) const;
+  /// Restores DFF state saved by save_state() on this evaluator.
+  void load_state(const std::vector<std::uint64_t>& in);
+
   /// Raw 64-lane word on a net after eval().
   std::uint64_t value(NetId net) const { return values_[net]; }
   /// Word `w` of a net's lane block (w must be 0 here).

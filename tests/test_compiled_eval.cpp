@@ -601,7 +601,10 @@ TEST(EngineSelect, SeqSimulatorIdenticalAcrossEngines) {
     st.add_cycle(values, rng.chance(0.7));
   }
   const CoverageResult oracle =
-      fault::simulate_seq(nl, u.collapsed(), st, {}, Engine::kReference);
+      fault::simulate_serial(nl, u.collapsed(), st);
+  EXPECT_EQ(oracle.detected_flags,
+            fault::simulate_seq(nl, u.collapsed(), st, {}, Engine::kReference)
+                .detected_flags);
   for (unsigned lanes : {1u, 4u}) {
     EXPECT_EQ(oracle.detected_flags,
               fault::simulate_seq(nl, u.collapsed(), st, {}, Engine::kEvent,
@@ -650,7 +653,7 @@ TEST(EngineSelect, ParallelSeqIdenticalAcrossEnginesAndThreads) {
     st.add_cycle(values, rng.chance(0.7));
   }
   const CoverageResult oracle =
-      fault::simulate_seq(nl, u.collapsed(), st, {}, Engine::kReference);
+      fault::simulate_serial(nl, u.collapsed(), st);
   for (Engine e : {Engine::kReference, Engine::kEvent}) {
     for (unsigned threads : {1u, 3u}) {
       SimOptions opt;

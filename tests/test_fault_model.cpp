@@ -214,6 +214,7 @@ TEST(FaultModelRouting, TransitionFaultsAreCombinationalOnly) {
   const SeqStimulus st = random_stimulus(rng, nl, 8);
   FaultUniverse u(nl, FaultModel::kTransition);
   EXPECT_THROW(simulate_seq(nl, u.collapsed(), st), std::invalid_argument);
+  EXPECT_THROW(simulate_serial(nl, u.collapsed(), st), std::invalid_argument);
   EXPECT_THROW(simulate_seq_parallel(nl, u.collapsed(), st),
                std::invalid_argument);
 }
@@ -356,7 +357,9 @@ TEST(WindowedDeterminism, SequentialMatrixIsBitwiseIdentical) {
   for (const FaultModel model :
        {FaultModel::kTransientSEU, FaultModel::kIntermittent}) {
     const FaultUniverse u(nl, model);
-    const CoverageResult oracle = simulate_seq(nl, u.collapsed(), st);
+    const CoverageResult oracle = simulate_serial(nl, u.collapsed(), st);
+    EXPECT_GT(oracle.detected, 0u);
+    EXPECT_LT(oracle.detected, oracle.total);
     for (const Engine engine : {Engine::kReference, Engine::kEvent}) {
       for (const unsigned threads : {1u, 2u, 8u}) {
         SimOptions so;

@@ -12,8 +12,12 @@
 #include "fault/fault.hpp"
 #include "fault/pattern.hpp"
 #include "fault/sim.hpp"
+#include "fault/sim_detail.hpp"
 #include "fault/sim_parallel.hpp"
 #include "fault/thread_pool.hpp"
+#include "netlist/compiled.hpp"
+#include "rtlgen/alu.hpp"
+#include "rtlgen/regfile.hpp"
 
 namespace sbst::fault {
 namespace {
@@ -175,8 +179,10 @@ TEST(FaultParallel, SeqDifferentialRandomNetlists) {
     const auto& faults = u.collapsed();
     const SeqStimulus st = random_stimulus(rng, nl, 40);
 
-    const CoverageResult oracle = simulate_seq(nl, faults, st);
+    const CoverageResult oracle = simulate_serial(nl, faults, st);
     expect_invariant(oracle);
+    expect_same_flags(oracle, simulate_seq(nl, faults, st), nl, faults,
+                      "simulate_seq");
     for (unsigned threads : {1u, 2u, 8u}) {
       const CoverageResult got = simulate_seq_parallel(
           nl, faults, st, {}, {.num_threads = threads});
@@ -326,6 +332,278 @@ TEST(FaultParallel, SeqParallelOnCombNetlistMatchesSerial) {
   const CoverageResult got =
       simulate_seq_parallel(nl, u.collapsed(), st, {}, {.num_threads = 2});
   expect_same_flags(oracle, got, nl, u.collapsed(), "seq on comb");
+}
+
+// ---- drop-and-repack in the lane-packed kernels ----------------------------
+//
+// grade_lanes and grade_seq regroup the surviving faults into fewer lane
+// batches every detail::kRepackSegment steps. The random suites above grade
+// fewer faults than one W=4 batch and never repack, so these tests use
+// rtlgen components with more than 255 reachable faults, data that detects
+// most of them early, and at least one fault that is never detected (it
+// keeps a lane to the end). Each pins the flags to the serial oracle and
+// checks that the kernel did exactly the work drop-and-repack predicts.
+
+/// Counts evaluations (eval() or step() calls), i.e. lane-batch steps.
+template <class Ev>
+class CountingEvaluator : public Ev {
+ public:
+  using Ev::Ev;
+  void eval() {
+    ++evals;
+    Ev::eval();
+  }
+  void step() {
+    ++evals;
+    Ev::step();
+  }
+  std::size_t evals = 0;
+};
+
+using Rows = std::vector<std::vector<PortValue>>;
+
+Rows random_rows(Rng& rng, const Netlist& nl, std::size_t count) {
+  Rows rows(count);
+  for (std::vector<PortValue>& row : rows) {
+    for (const netlist::Port& p : nl.input_ports()) {
+      row.emplace_back(p.name, rng.next64());
+    }
+  }
+  return rows;
+}
+
+/// The first `n` rows as a clocked stimulus; every fourth cycle is not
+/// observed.
+SeqStimulus stimulus_prefix(const Netlist& nl, const Rows& rows,
+                            std::size_t n) {
+  SeqStimulus st(nl);
+  for (std::size_t c = 0; c < n; ++c) st.add_cycle(rows[c], c % 4 != 3);
+  return st;
+}
+
+PatternSet patterns_prefix(const Netlist& nl, const Rows& rows,
+                           std::size_t n) {
+  PatternSet ps(nl);
+  for (std::size_t p = 0; p < n; ++p) ps.add(rows[p]);
+  return ps;
+}
+
+/// What drop-and-repack must cost on one chunk of `faults`. Segment k runs
+/// one eval per step for every batch the reachable faults still undetected
+/// at its start need (`detected_at[k]`: the oracle's flags on the first k
+/// segments); `repacks` counts the segments that start with fewer batches
+/// than the one before.
+struct RepackWork {
+  std::size_t first_batches = 0;
+  std::size_t evals = 0;
+  std::size_t repacks = 0;
+};
+
+RepackWork expected_work(const std::vector<Fault>& faults,
+                         const std::uint8_t* reach,
+                         const std::vector<std::vector<std::uint8_t>>&
+                             detected_at,
+                         std::size_t steps, std::size_t fault_lanes) {
+  RepackWork work;
+  std::size_t batches = 0;
+  for (std::size_t k = 0; k * detail::kRepackSegment < steps; ++k) {
+    std::size_t live = 0;
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      live += reach[faults[f].site.gate] && !detected_at[k][f];
+    }
+    if (live == 0) break;
+    const std::size_t b = detail::batch_count(live, fault_lanes);
+    if (k == 0) work.first_batches = b;
+    if (k > 0 && b < batches) ++work.repacks;
+    batches = b;
+    const std::size_t s0 = k * detail::kRepackSegment;
+    work.evals += b * (std::min(steps, s0 + detail::kRepackSegment) - s0);
+  }
+  return work;
+}
+
+/// Oracle flags on every segment-boundary prefix: entry k holds the faults
+/// detected within the first k * kRepackSegment steps.
+template <class OracleOnPrefix>
+std::vector<std::vector<std::uint8_t>> detected_at_boundaries(
+    std::size_t n_faults, std::size_t steps, const OracleOnPrefix& oracle) {
+  std::vector<std::vector<std::uint8_t>> out{
+      std::vector<std::uint8_t>(n_faults, 0)};
+  for (std::size_t b = detail::kRepackSegment; b < steps;
+       b += detail::kRepackSegment) {
+    out.push_back(oracle(b).detected_flags);
+  }
+  return out;
+}
+
+/// Asserts the oracle leaves at least one reachable fault undetected, so
+/// lanes survive to the last step and every repack is a real regrouping.
+void expect_reachable_survivor(const std::vector<Fault>& faults,
+                               const std::uint8_t* reach,
+                               const CoverageResult& oracle,
+                               const char* label) {
+  std::size_t survivors = 0;
+  for (std::size_t f = 0; f < faults.size(); ++f) {
+    survivors += reach[faults[f].site.gate] && !oracle.detected_flags[f];
+  }
+  EXPECT_GT(survivors, 0u) << label;
+}
+
+/// Runs one lane-packed kernel over the whole fault list as a single chunk
+/// on a counting W-word evaluator; checks flags and work.
+template <unsigned W, class Kernel>
+void expect_kernel_repacks(const netlist::CompiledNetlist& cn,
+                           const CoverageResult& oracle,
+                           const RepackWork& work, const Kernel& kernel,
+                           const std::string& label) {
+  CountingEvaluator<netlist::CompiledEvaluatorT<W>> ev(cn);
+  std::vector<std::uint8_t> flags(oracle.detected_flags.size(), 0);
+  kernel(ev, flags.data());
+  EXPECT_EQ(flags, oracle.detected_flags) << label;
+  EXPECT_GE(work.first_batches, 2u) << label;
+  EXPECT_GE(work.repacks, 2u) << label;
+  EXPECT_EQ(ev.evals, work.evals) << label;
+}
+
+/// A windowed fault that is still undetected at a segment boundary and
+/// whose force is on both at the boundary's last step and its first one,
+/// so the kernel re-arms it mid-window after a repack.
+bool window_straddles_a_boundary(
+    const std::vector<Fault>& faults, const std::uint8_t* reach,
+    const std::vector<std::vector<std::uint8_t>>& detected_at) {
+  for (std::size_t k = 1; k < detected_at.size(); ++k) {
+    const std::uint64_t t = k * detail::kRepackSegment;
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      if (!reach[faults[f].site.gate] || detected_at[k][f]) continue;
+      const std::uint64_t key = fault_stream_key(faults[f]);
+      if (fault_active(key, faults[f].model, t - 1) &&
+          fault_active(key, faults[f].model, t)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+void check_seq_repack(FaultModel model) {
+  const Netlist nl = rtlgen::build_regfile({.num_regs = 8, .width = 8});
+  Rng rng(0x5e9 + static_cast<unsigned>(model));
+  const Rows rows = random_rows(rng, nl, 128);
+  const SeqStimulus st = stimulus_prefix(nl, rows, rows.size());
+  const FaultUniverse u(nl, model);
+  const std::vector<Fault>& faults = u.collapsed();
+  const std::string name = fault_model_name(model);
+
+  const CoverageResult oracle = simulate_serial(nl, faults, st);
+  for (unsigned lanes : {1u, 4u}) {
+    for (unsigned threads : {1u, 2u, 8u}) {
+      const SimOptions opt{
+          .num_threads = threads, .engine = Engine::kEvent, .lanes = lanes};
+      const std::string label = name + "/l" + std::to_string(lanes) + "/t" +
+                                std::to_string(threads);
+      expect_same_flags(oracle,
+                        simulate_seq_parallel(nl, faults, st, {}, opt), nl,
+                        faults, label.c_str());
+    }
+  }
+
+  const netlist::CompiledNetlist cn(nl, netlist::CompileOptions::all());
+  const ObserveSet observe = nl.output_nets();
+  const std::vector<std::uint8_t> reach = cn.fanin_cone(observe);
+  expect_reachable_survivor(faults, reach.data(), oracle, name.c_str());
+  const auto detected_at = detected_at_boundaries(
+      faults.size(), st.size(), [&](std::size_t n) {
+        return simulate_serial(nl, faults, stimulus_prefix(nl, rows, n));
+      });
+  if (model != FaultModel::kStuckAt) {
+    EXPECT_TRUE(window_straddles_a_boundary(faults, reach.data(), detected_at))
+        << name;
+  }
+  auto kernel = [&](auto& ev, std::uint8_t* flags) {
+    detail::with_activation(detail::activation_of(faults), [&](auto tag) {
+      detail::grade_seq<decltype(tag)::value>(ev, faults, 0, faults.size(),
+                                              st, observe, reach.data(),
+                                              flags);
+    });
+  };
+  expect_kernel_repacks<1>(
+      cn, oracle,
+      expected_work(faults, reach.data(), detected_at, st.size(), 63), kernel,
+      name + "/W1");
+  expect_kernel_repacks<4>(
+      cn, oracle,
+      expected_work(faults, reach.data(), detected_at, st.size(), 255),
+      kernel, name + "/W4");
+}
+
+TEST(FaultRepack, SeqStuckAtMatchesSerialOracle) {
+  check_seq_repack(FaultModel::kStuckAt);
+}
+
+TEST(FaultRepack, SeqTransientMatchesSerialOracle) {
+  check_seq_repack(FaultModel::kTransientSEU);
+}
+
+TEST(FaultRepack, SeqIntermittentMatchesSerialOracle) {
+  check_seq_repack(FaultModel::kIntermittent);
+}
+
+TEST(FaultRepack, CombLanesMatchSerialOracleForEveryModel) {
+  const Netlist nl = rtlgen::build_alu({.width = 16});
+  Rng rng(0xc0b);
+  const Rows rows = random_rows(rng, nl, 72);
+  const PatternSet ps = patterns_prefix(nl, rows, rows.size());
+  const netlist::CompiledNetlist cn(nl, netlist::CompileOptions::all());
+  const ObserveSet observe = nl.output_nets();
+  const std::vector<std::uint8_t> reach = cn.fanin_cone(observe);
+  for (FaultModel model : {FaultModel::kStuckAt, FaultModel::kTransition,
+                           FaultModel::kTransientSEU,
+                           FaultModel::kIntermittent}) {
+    const FaultUniverse u(nl, model);
+    const std::vector<Fault>& faults = u.collapsed();
+    const std::string name = fault_model_name(model);
+    const CoverageResult oracle = simulate_serial(nl, faults, ps);
+    for (unsigned lanes : {1u, 4u}) {
+      for (unsigned threads : {1u, 2u, 8u}) {
+        const SimOptions opt{.num_threads = threads,
+                             .lane_parallel = true,
+                             .engine = Engine::kEvent,
+                             .lanes = lanes};
+        const std::string label = name + "/l" + std::to_string(lanes) +
+                                  "/t" + std::to_string(threads);
+        expect_same_flags(oracle,
+                          simulate_comb_parallel(nl, faults, ps, {}, opt), nl,
+                          faults, label.c_str());
+      }
+    }
+    // Transition faults grade on the launch/capture block kernel; the
+    // lane-packed kernel serves the other three models.
+    if (model == FaultModel::kTransition) continue;
+    expect_reachable_survivor(faults, reach.data(), oracle, name.c_str());
+    const auto detected_at = detected_at_boundaries(
+        faults.size(), ps.size(), [&](std::size_t n) {
+          return simulate_serial(nl, faults, patterns_prefix(nl, rows, n));
+        });
+    if (model != FaultModel::kStuckAt) {
+      EXPECT_TRUE(
+          window_straddles_a_boundary(faults, reach.data(), detected_at))
+          << name;
+    }
+    auto kernel = [&](auto& ev, std::uint8_t* flags) {
+      detail::with_activation(detail::activation_of(faults), [&](auto tag) {
+        detail::grade_lanes<decltype(tag)::value>(
+            ev, faults, 0, faults.size(), ps, observe, reach.data(), flags);
+      });
+    };
+    expect_kernel_repacks<1>(
+        cn, oracle,
+        expected_work(faults, reach.data(), detected_at, ps.size(), 63),
+        kernel, name + "/W1");
+    expect_kernel_repacks<4>(
+        cn, oracle,
+        expected_work(faults, reach.data(), detected_at, ps.size(), 255),
+        kernel, name + "/W4");
+  }
 }
 
 // ---- CoverageResult invariant ----------------------------------------------

@@ -317,7 +317,7 @@ TEST(SimdLanes, SeqGradingFlagsIdenticalAcrossLaneWidths) {
     st.add_cycle(values, rng.chance(0.7));
   }
   const CoverageResult oracle =
-      fault::simulate_seq(nl, u.collapsed(), st, {}, Engine::kReference);
+      fault::simulate_serial(nl, u.collapsed(), st);
   for (unsigned lanes : {1u, 4u}) {
     for (unsigned threads : {1u, 2u}) {
       SimOptions opt;
