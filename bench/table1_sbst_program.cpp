@@ -13,11 +13,8 @@
 //   Control Logic         230  PVC        FT             30     117     0  (n/r)
 //   Pipeline              885  HC         (side-effect)   -       -     -  (n/r)
 //   Total              26,080  92% D-VC                 808   9,905    87  95.6
-// Emits a table to stdout and machine-readable BENCH_table1.json with
-// per-stage wall-clock timings (trace, collapse, compile, grade,
-// standalone-runs) for both evaluations sharing one GradingSession — the
-// second run's near-zero collapse/compile stages are the cache at work.
-#include <chrono>
+// Stdout carries no timings: it is identical for every thread count and lane
+// width, and CI diffs it against ci/golden/table1_sbst_program.stdout.
 #include <cstdio>
 
 #include "common/tablefmt.hpp"
@@ -71,11 +68,7 @@ int main() {
   builder.add_default_routines(model);
   const TestProgram program = builder.build();
   GradingSession session(model);
-  const auto t_arch = std::chrono::steady_clock::now();
   const ProgramEvaluation ev = evaluate_program(session, builder, program);
-  const double arch_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_arch)
-          .count();
 
   // ---- measured per-component table ---------------------------------------
   Table t({"Component", "GE (gates)", "Class", "Code Style", "Size (words)",
@@ -195,12 +188,8 @@ int main() {
   full.architectural_observability = false;
   // Same session: the fault universes and compiled netlists are reused; only
   // the full-netlist observe sets and cones are new.
-  const auto t_full = std::chrono::steady_clock::now();
   const ProgramEvaluation ev_full =
       evaluate_program(session, builder, program, full);
-  const double full_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_full)
-          .count();
   Table ab({"Component", "FC architectural (%)", "FC full-netlist (%)"});
   for (const RowSpec& row : rows) {
     ab.add_row({model.component(row.cut).name,
@@ -211,43 +200,5 @@ int main() {
               Table::num(ev_full.overall_fc(), 1)});
   ab.print();
 
-  // ---- machine-readable timing report ----------------------------------------
-  const SessionStats stats = session.stats();
-  std::FILE* json = std::fopen("BENCH_table1.json", "w");
-  if (!json) {
-    std::perror("BENCH_table1.json");
-    return 1;
-  }
-  auto stages = [&](const char* key, const EvalStageTimes& s, double total) {
-    std::fprintf(json,
-                 "  \"%s\": {\"trace\": %.6f, \"collapse\": %.6f, "
-                 "\"compile\": %.6f, \"grade\": %.6f, \"standalone\": %.6f, "
-                 "\"total\": %.6f},\n",
-                 key, s.trace, s.collapse, s.compile, s.grade, s.standalone,
-                 total);
-  };
-  std::fprintf(json,
-               "{\n"
-               "  \"threads\": %u,\n"
-               "  \"overall_fc\": %.4f,\n"
-               "  \"overall_fc_full_netlist\": %.4f,\n",
-               session.pool().size(), ev.overall_fc(), ev_full.overall_fc());
-  stages("stages_architectural", ev.stages, arch_s);
-  stages("stages_full_netlist", ev_full.stages, full_s);
-  std::fprintf(json,
-               "  \"session\": {\"universe_builds\": %zu, "
-               "\"universe_hits\": %zu, \"compile_builds\": %zu, "
-               "\"compile_hits\": %zu, \"observe_builds\": %zu, "
-               "\"observe_hits\": %zu, \"cone_builds\": %zu, "
-               "\"cone_hits\": %zu}\n"
-               "}\n",
-               stats.universe_builds, stats.universe_hits,
-               stats.compile_builds, stats.compile_hits, stats.observe_builds,
-               stats.observe_hits, stats.cone_builds, stats.cone_hits);
-  std::fclose(json);
-  std::printf("\nwrote BENCH_table1.json (arch eval %.2fs, full-netlist "
-              "eval %.2fs; cache reuse: %zu universe hits, %zu compile "
-              "hits)\n",
-              arch_s, full_s, stats.universe_hits, stats.compile_hits);
   return 0;
 }

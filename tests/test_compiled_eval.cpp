@@ -701,9 +701,14 @@ TEST(EngineSelect, RestrictedObserveSetExercisesConePrefilter) {
 
 TEST(EngineSelect, RtlgenComponentCoverageIdenticalAcrossEngines) {
   Rng rng(67);
+  // One W=4 lane batch holds 255 faults and one W=4 grading chunk three
+  // batches; the 6x6 multiplier spans two chunks, so drop-and-repack merges
+  // batches in both.
+  const Netlist wide_mul = rtlgen::build_multiplier({.width = 6});
+  ASSERT_GT(FaultUniverse(wide_mul).collapsed().size(), 3u * 255u);
   for (const Netlist& nl :
        {rtlgen::build_alu({.width = 4}),
-        rtlgen::build_multiplier({.width = 4}),
+        rtlgen::build_multiplier({.width = 4}), wide_mul,
         rtlgen::build_control()}) {
     SCOPED_TRACE(nl.name());
     FaultUniverse u(nl);
@@ -723,6 +728,25 @@ TEST(EngineSelect, RtlgenComponentCoverageIdenticalAcrossEngines) {
                 fault::simulate_comb_parallel(nl, u.collapsed(), ps, {}, opt)
                     .detected_flags)
           << fault::engine_name(e) << "/parallel";
+    }
+    // Every event-engine grading configuration, each against the oracle.
+    for (unsigned lanes : {1u, 4u}) {
+      for (bool lane_parallel : {false, true}) {
+        for (int netlist_opt : {0, 1}) {
+          SimOptions opt;
+          opt.num_threads = 2;
+          opt.engine = Engine::kEvent;
+          opt.lanes = lanes;
+          opt.lane_parallel = lane_parallel;
+          opt.netlist_opt = netlist_opt;
+          EXPECT_EQ(oracle.detected_flags,
+                    fault::simulate_comb_parallel(nl, u.collapsed(), ps, {},
+                                                  opt)
+                        .detected_flags)
+              << "l" << lanes << (lane_parallel ? "/lane" : "/block")
+              << "/opt" << netlist_opt;
+        }
+      }
     }
   }
 }
