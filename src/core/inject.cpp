@@ -4,7 +4,9 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "core/evaluate.hpp"
 #include "core/program.hpp"
 #include "core/session.hpp"
 #include "fault/sim_parallel.hpp"
@@ -93,14 +95,84 @@ void validate_fault_site(const netlist::Netlist& nl,
         std::to_string(fault.site.gate) + " outside netlist (" +
         std::to_string(nl.gates().size()) + " gates)");
   }
-  if (!fault.site.is_output() && fault.site.pin >= 3) {
+  if (!fault.site.is_output() &&
+      (fault.site.pin >= 3 ||
+       nl.gate(fault.site.gate).in[fault.site.pin] == netlist::kNoNet)) {
     throw std::out_of_range("GateLevelFaultInjector: fault site pin " +
                             std::to_string(fault.site.pin) +
-                            " outside gate input range");
+                            " of gate " + std::to_string(fault.site.gate) +
+                            " is not connected");
   }
 }
 
 }  // namespace
+
+GoodPathTable::GoodPathTable(const netlist::Netlist& nl, CutId target,
+                             fault::PatternSet tuples)
+    : tuples_(std::move(tuples)) {
+  check_target(target);
+  const bool has_op = target != CutId::kMultiplier;
+  const char* b_port = target == CutId::kShifter ? "shamt" : "b";
+  const netlist::Bus& out = nl.output_port(
+      target == CutId::kMultiplier ? "product" : "result");
+  const std::size_t n = tuples_.size();
+  tuple_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tuple_.push_back(
+        {has_op ? static_cast<std::uint32_t>(tuples_.value_of(i, "op")) : 0,
+         static_cast<std::uint32_t>(tuples_.value_of(i, "a")),
+         static_cast<std::uint32_t>(tuples_.value_of(i, b_port))});
+  }
+  netlist::Evaluator ev(nl);
+  const std::vector<netlist::NetId>& inputs = nl.inputs();
+  good_.reserve(n);
+  for (std::size_t block = 0; block < tuples_.block_count(); ++block) {
+    const std::vector<std::uint64_t>& words = tuples_.block(block);
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      ev.set_input_word(inputs[k], words[k]);
+    }
+    ev.eval();
+    const std::size_t lanes = std::min<std::size_t>(64, n - block * 64);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      good_.push_back(ev.bus_value(out, static_cast<unsigned>(lane)));
+    }
+  }
+  std::size_t capacity = 2;
+  while (capacity < 2 * n) capacity *= 2;
+  slots_.assign(capacity, 0);
+  mask_ = capacity - 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Tuple& t = tuple_[i];
+    std::size_t s = hash(t.op, t.a, t.b) & mask_;
+    while (slots_[s] != 0) s = (s + 1) & mask_;
+    slots_[s] = static_cast<std::uint32_t>(i + 1);
+  }
+}
+
+GoodPathTable GoodPathTable::trace(const ProcessorModel& model,
+                                   const TestProgram& program,
+                                   const sim::CpuConfig& config,
+                                   CutId target) {
+  TraceCollector trace(model);
+  // Only the three injectable streams are wanted; the register-file and
+  // pipeline streams are the collector's only large ones.
+  trace.set_regfile_cycle_cap(0);
+  trace.set_pipeline_cycle_cap(0);
+  sim::Cpu cpu(config);
+  cpu.reset();
+  cpu.load(program.image);
+  sim::TraceSink<TraceCollector> sink{&trace};
+  if (!cpu.run_sink(program.entry, sink).halted) {
+    throw std::runtime_error("GoodPathTable: good run did not halt");
+  }
+  const netlist::Netlist& nl = model.component(target).netlist;
+  switch (target) {
+    case CutId::kAlu: return GoodPathTable(nl, target, trace.alu_patterns());
+    case CutId::kShifter:
+      return GoodPathTable(nl, target, trace.shifter_patterns());
+    default: return GoodPathTable(nl, target, trace.multiplier_patterns());
+  }
+}
 
 void GateLevelFaultInjector::init(const fault::Fault& fault) {
   check_target(target_);
@@ -140,22 +212,17 @@ GateLevelFaultInjector::GateLevelFaultInjector(const ProcessorModel& model,
   ref_eval_ = std::make_unique<netlist::Evaluator>(*nl_);
 }
 
-GateLevelFaultInjector::GateLevelFaultInjector(GradingSession& session,
-                                               CutId target,
-                                               const fault::Fault& fault)
-    : target_(target), nl_(&session.model().component(target).netlist) {
-  init(fault);
-  comp_eval_ = std::make_unique<netlist::CompiledEvaluator>(
-      session.compiled(target), /*event_driven=*/true);
-}
-
 GateLevelFaultInjector::GateLevelFaultInjector(
     const netlist::Netlist& nl, const netlist::CompiledNetlist& compiled,
-    CutId target, const fault::Fault& fault)
-    : target_(target), nl_(&nl) {
+    const GoodPathTable& good_path, CutId target, const fault::Fault& fault)
+    : target_(target),
+      nl_(&nl),
+      good_path_(&good_path),
+      diff_(good_path.size()),
+      swept_(good_path.tuples().block_count()) {
   init(fault);
   comp_eval_ = std::make_unique<netlist::CompiledEvaluator>(
-      compiled, /*event_driven=*/true);
+      compiled, /*event_driven=*/false);
 }
 
 template <class Eval>
@@ -196,20 +263,56 @@ bool GateLevelFaultInjector::active(std::uint32_t op, std::uint32_t a,
   return true;
 }
 
+template <class Eval>
+void GateLevelFaultInjector::arm(Eval& ev) {
+  // The evaluator only ever runs with the force armed, so each evaluation
+  // computes the faulty function of whatever it is driven with.
+  if (!armed_) ev.inject_broadcast(fault_.site, fault_.stuck_value);
+  armed_ = true;
+}
+
+std::uint64_t GateLevelFaultInjector::good_path_result(std::size_t i) {
+  const std::size_t block = i / 64;
+  if (!swept_[block]) {
+    // One forced sweep answers the block's 64 tuples: the CUT is
+    // combinational and the force sits in every lane, so lane k computes
+    // exactly what a single-tuple evaluation of tuple k would.
+    arm(*comp_eval_);
+    const std::vector<std::uint64_t>& words =
+        good_path_->tuples().block(block);
+    const std::vector<netlist::NetId>& inputs = nl_->inputs();
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      comp_eval_->set_input_word(inputs[k], words[k]);
+    }
+    comp_eval_->eval();
+    const std::size_t base = block * 64;
+    const std::size_t lanes = std::min<std::size_t>(64, diff_.size() - base);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      diff_[base + lane] =
+          comp_eval_->bus_value(*port_out_, static_cast<unsigned>(lane)) ^
+          good_path_->good(base + lane);
+    }
+    swept_[block] = 1;
+  }
+  return good_path_->good(i) ^ diff_[i];
+}
+
 std::uint64_t GateLevelFaultInjector::faulty_result(std::uint32_t op,
                                                     std::uint32_t a,
                                                     std::uint32_t b) {
+  if (good_path_) {
+    const std::size_t i = good_path_->find(op, a, b);
+    if (i != GoodPathTable::kNotFound) return good_path_result(i);
+  }
   if (const std::uint64_t* hit = results_.find(op, a, b)) return *hit;
-  // The evaluator only ever runs with the force armed, so each evaluation
-  // computes the faulty function of the tuple it is driven with.
   const auto evaluate = [&](auto& ev) {
-    if (!armed_) ev.inject_broadcast(fault_.site, fault_.stuck_value);
-    armed_ = true;
+    arm(ev);
     drive_and_eval(ev, op, a, b);
     return ev.bus_value(*port_out_);
   };
   const std::uint64_t r =
       comp_eval_ ? evaluate(*comp_eval_) : evaluate(*ref_eval_);
+  ++off_path_evals_;
   results_.store(op, a, b, r);
   return r;
 }
@@ -352,8 +455,11 @@ InjectionOutcome run_with_injection(GradingSession& session,
   const sim::RunBudget budget =
       run_budget_for(good.stats, resolved_factor(inject, &session), inject);
   const sim::StoreGuard guard = store_guard_for(program);
+  const auto good_path = session.good_path(program, config, target);
   auto decoded = session.decoded(program.image);
-  GateLevelFaultInjector injector(session, target, fault);
+  const netlist::Netlist& nl = session.model().component(target).netlist;
+  GateLevelFaultInjector injector(nl, session.compiled(target), *good_path,
+                                  target, fault);
   return faulty_outcome(program, good.signatures, injector, config,
                         std::move(decoded), budget,
                         inject.store_guard ? &guard : nullptr);
@@ -363,9 +469,10 @@ std::vector<InjectionOutcome> run_injection_campaign(
     GradingSession& session, const TestProgram& program, CutId target,
     const std::vector<fault::Fault>& faults, const sim::CpuConfig& config,
     const InjectOptions& inject) {
-  // Serial prefetch: one good run, one predecoded image, one compiled
-  // netlist — shared read-only by every per-fault task (workers never touch
-  // the session caches, so cache-off mode stays safe under parallelism).
+  // Serial prefetch: one good run, one good-path table, one predecoded
+  // image, one compiled netlist — shared read-only by every per-fault task
+  // (workers never touch the session caches, so cache-off mode stays safe
+  // under parallelism).
   const GoodRun good = session.good_run(program, config);
   if (!good.stats.halted) {
     throw std::runtime_error("run_with_injection: good run did not halt");
@@ -374,13 +481,15 @@ std::vector<InjectionOutcome> run_injection_campaign(
       run_budget_for(good.stats, resolved_factor(inject, &session), inject);
   const sim::StoreGuard guard = store_guard_for(program);
   const sim::StoreGuard* guard_p = inject.store_guard ? &guard : nullptr;
+  const auto good_path = session.good_path(program, config, target);
   const auto decoded = session.decoded(program.image);
   const netlist::Netlist& nl = session.model().component(target).netlist;
   const netlist::CompiledNetlist& compiled = session.compiled(target);
 
   std::vector<InjectionOutcome> out(faults.size());
   const auto run_one = [&](std::size_t i) {
-    GateLevelFaultInjector injector(nl, compiled, target, faults[i]);
+    GateLevelFaultInjector injector(nl, compiled, *good_path, target,
+                                    faults[i]);
     out[i] = faulty_outcome(program, good.signatures, injector, config,
                             decoded, budget, guard_p);
   };

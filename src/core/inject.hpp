@@ -17,6 +17,7 @@
 
 #include "core/component.hpp"
 #include "fault/fault.hpp"
+#include "fault/pattern.hpp"
 #include "netlist/compiled.hpp"
 #include "netlist/eval.hpp"
 #include "sim/cpu.hpp"
@@ -127,6 +128,66 @@ sim::RunBudget run_budget_for(const sim::ExecStats& good_stats, double factor,
 /// and signature words all live inside [image.base, image.end_address())).
 sim::StoreGuard store_guard_for(const struct TestProgram& program);
 
+/// The good path of one injectable CUT under one test program: the distinct
+/// (op, a, b) tuples the fault-free run applies to it, in first-use order,
+/// with the fault-free output of each and a tuple -> index lookup. The
+/// tuples stay in the TraceCollector's PatternSet — 64-lane blocks in
+/// netlist input order — so a campaign injector answers 64 of them per
+/// netlist sweep. Immutable once built; campaign workers share one
+/// read-only (GradingSession::good_path caches it per program and CUT).
+class GoodPathTable {
+ public:
+  static constexpr std::size_t kNotFound = ~std::size_t{0};
+
+  struct Tuple {
+    std::uint32_t op = 0;  // 0 for the multiplier, which has no op port
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;   // the shifter's shamt
+  };
+
+  /// Runs `program` fault-free under `config` with a TraceCollector and
+  /// tabulates the tuples it applied to `target`.
+  static GoodPathTable trace(const ProcessorModel& model,
+                             const struct TestProgram& program,
+                             const sim::CpuConfig& config, CutId target);
+
+  std::size_t size() const { return tuple_.size(); }
+  const fault::PatternSet& tuples() const { return tuples_; }
+  const Tuple& tuple(std::size_t i) const { return tuple_[i]; }
+  /// Fault-free output bus of tuple `i`.
+  std::uint64_t good(std::size_t i) const { return good_[i]; }
+  /// Index of the tuple, or kNotFound when the good run never applied it.
+  std::size_t find(std::uint32_t op, std::uint32_t a, std::uint32_t b) const {
+    for (std::size_t s = hash(op, a, b) & mask_;; s = (s + 1) & mask_) {
+      const std::uint32_t slot = slots_[s];
+      if (slot == 0) return kNotFound;
+      const Tuple& t = tuple_[slot - 1];
+      if (t.op == op && t.a == a && t.b == b) return slot - 1;
+    }
+  }
+
+ private:
+  /// Tabulates `tuples`, distinct patterns over the input ports of
+  /// `target`'s netlist `nl`: decodes every tuple and evaluates every block
+  /// fault-free on the reference Evaluator.
+  GoodPathTable(const netlist::Netlist& nl, CutId target,
+                fault::PatternSet tuples);
+
+  static std::size_t hash(std::uint32_t op, std::uint32_t a,
+                          std::uint32_t b) {
+    const std::uint64_t k = ((std::uint64_t{a} << 32) | b) ^
+                            (std::uint64_t{op} << 59);
+    return static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ull) >> 32);
+  }
+
+  fault::PatternSet tuples_;
+  std::vector<Tuple> tuple_;
+  std::vector<std::uint64_t> good_;
+  // Open addressing at load <= 1/2: tuple index + 1 per slot, 0 = empty.
+  std::vector<std::uint32_t> slots_;
+  std::size_t mask_ = 0;
+};
+
 class GateLevelFaultInjector final : public sim::CpuHooks {
  public:
   /// Slots of each direct-mapped operand-tuple table (see TupleMemo).
@@ -153,20 +214,23 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   /// evaluator only ever computes the faulty function, and its answers are
   /// memoized per (op, a, b) tuple (exact: the CUTs are combinational and
   /// every input port is driven on every operation).
+  ///
+  /// Reference form: evaluates through the model's reference Evaluator,
+  /// one tuple per evaluation (the oracle path).
   GateLevelFaultInjector(const ProcessorModel& model, CutId target,
                          const fault::Fault& fault);
-  /// Session form: evaluates through the session's cached compiled netlist
-  /// (event-driven — one faulty operation re-simulates only its cone).
-  /// Results are bitwise-identical to the reference form.
-  GateLevelFaultInjector(GradingSession& session, CutId target,
-                         const fault::Fault& fault);
-  /// Prefetched form for campaign workers: evaluates event-driven through a
-  /// caller-held compiled netlist, so parallel per-fault tasks never touch
-  /// the session caches. `nl` and `compiled` must describe the same
-  /// component and outlive the injector.
+  /// Campaign form: evaluates through a caller-held compiled netlist and
+  /// good-path table, so parallel per-fault tasks never touch the session
+  /// caches. `nl`, `compiled` and `good_path` must describe the same
+  /// component and outlive the injector. An active tuple of the fault-free
+  /// run is answered from one forced sweep of its 64-tuple block, done on
+  /// first use; only off-path tuples are evaluated one at a time. Every
+  /// evaluation is a level-major sweep: the whole stimulus changes between
+  /// two of them. Results are bitwise-identical to the reference form.
   GateLevelFaultInjector(const netlist::Netlist& nl,
                          const netlist::CompiledNetlist& compiled,
-                         CutId target, const fault::Fault& fault);
+                         const GoodPathTable& good_path, CutId target,
+                         const fault::Fault& fault);
 
   std::optional<std::uint32_t> alu_result(rtlgen::AluOp, std::uint32_t,
                                           std::uint32_t) override;
@@ -177,6 +241,9 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
 
   /// Number of operations whose faulty result differed from the good one.
   std::uint64_t corrupted_results() const { return corrupted_; }
+  /// Number of single-tuple netlist evaluations: active tuples that were
+  /// neither on the good path nor already memoized.
+  std::uint64_t off_path_evals() const { return off_path_evals_; }
 
  private:
   /// Direct-mapped table of one combinational function of the operand
@@ -234,8 +301,13 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   template <class Eval>
   void drive_and_eval(Eval& ev, std::uint32_t op, std::uint32_t a,
                       std::uint32_t b) const;
+  /// Forces the fault in every lane of `ev`, once.
+  template <class Eval>
+  void arm(Eval& ev);
   std::uint64_t faulty_result(std::uint32_t op, std::uint32_t a,
                               std::uint32_t b);
+  /// Faulty result of good-path tuple `i`, sweeping its block if needed.
+  std::uint64_t good_path_result(std::size_t i);
 
   CutId target_;
   const netlist::Netlist* nl_;
@@ -252,9 +324,13 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   std::uint64_t op_index_ = 0;    // operations seen through the hooks
   bool armed_ = false;            // force injected into the evaluator
   bool prev_line_sv_ = false;     // transition: previous op's line == sv
-  TupleMemo results_;             // faulty results of active operations
+  const GoodPathTable* good_path_ = nullptr;  // null in the reference form
+  std::vector<std::uint64_t> diff_;   // faulty ^ good per good-path tuple
+  std::vector<std::uint8_t> swept_;   // per good-path block: diff_ filled
+  TupleMemo results_;             // faulty results of off-path tuples
   std::unique_ptr<LineProbe> line_;
   std::uint64_t corrupted_ = 0;
+  std::uint64_t off_path_evals_ = 0;
 };
 
 /// Result of one faulty-machine execution of a test program: the guarded

@@ -2,6 +2,7 @@
 
 #include "common/hash.hpp"
 #include "common/serialize.hpp"
+#include "core/inject.hpp"
 #include "fault/engine.hpp"
 
 namespace sbst::core {
@@ -424,20 +425,32 @@ std::shared_ptr<const isa::DecodedProgram> GradingSession::decoded(
   return decoded_locked(image);
 }
 
+GradingSession::RunKey::RunKey(const TestProgram& program,
+                               const sim::CpuConfig& cfg)
+    : base(program.image.base),
+      entry(program.entry),
+      signature_base(program.signature_base),
+      words(program.image.words),
+      config(cfg) {
+  hash = hash_image(program.image);
+  hash = fnv64(hash, entry);
+  hash = fnv64(hash, signature_base);
+  hash = hash_cpu_config(hash, config);
+}
+
+bool GradingSession::RunKey::operator==(const RunKey& other) const {
+  return hash == other.hash && base == other.base && entry == other.entry &&
+         signature_base == other.signature_base &&
+         cpu_config_equal(config, other.config) && words == other.words;
+}
+
 const GoodRun& GradingSession::good_run(const TestProgram& program,
                                         const sim::CpuConfig& config) {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t h = hash_image(program.image);
-  h = fnv64(h, program.entry);
-  h = fnv64(h, program.signature_base);
-  h = hash_cpu_config(h, config);
+  RunKey key(program, config);
   GoodRunEntry* found = nullptr;
   for (GoodRunEntry& e : goodrun_cache_) {
-    if (e.hash == h && e.base == program.image.base &&
-        e.entry == program.entry &&
-        e.signature_base == program.signature_base &&
-        cpu_config_equal(e.config, config) &&
-        e.words == program.image.words) {
+    if (e.key == key) {
       found = &e;
       break;
     }
@@ -476,16 +489,30 @@ const GoodRun& GradingSession::good_run(const TestProgram& program,
     found->run = std::move(run);
     return found->run;
   }
-  GoodRunEntry e;
-  e.hash = h;
-  e.base = program.image.base;
-  e.entry = program.entry;
-  e.signature_base = program.signature_base;
-  e.words = program.image.words;
-  e.config = config;
-  e.run = std::move(run);
-  goodrun_cache_.push_back(std::move(e));
+  goodrun_cache_.push_back({std::move(key), std::move(run)});
   return goodrun_cache_.back().run;
+}
+
+std::shared_ptr<const GoodPathTable> GradingSession::good_path(
+    const TestProgram& program, const sim::CpuConfig& config, CutId target) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  RunKey key(program, config);
+  GoodPathEntry* found = nullptr;
+  for (GoodPathEntry& e : goodpath_cache_) {
+    if (e.target == target && e.key == key) {
+      found = &e;
+      break;
+    }
+  }
+  if (found && options_.cache) return found->table;
+  auto table = std::make_shared<const GoodPathTable>(
+      GoodPathTable::trace(*model_, program, config, target));
+  if (found) {
+    found->table = table;
+  } else {
+    goodpath_cache_.push_back({std::move(key), target, table});
+  }
+  return table;
 }
 
 const fault::PatternSet& GradingSession::patterns(

@@ -38,6 +38,8 @@
 
 namespace sbst::core {
 
+class GoodPathTable;
+
 /// The observability axes of EvalOptions that change observe sets (and
 /// therefore reach cones); each mode gets its own cache slot.
 enum class ObserveMode : std::uint8_t {
@@ -165,6 +167,16 @@ class GradingSession {
   const GoodRun& good_run(const TestProgram& program,
                           const sim::CpuConfig& config = {});
 
+  /// Good-path table of `target` (an injectable CUT) under `program` and
+  /// `config`: the distinct operand tuples its fault-free run applies,
+  /// with their fault-free outputs. Keyed like good_run() plus the CUT,
+  /// built once per key and kept in memory only (the traced run it takes
+  /// costs about as much as the good run). The handout stays valid after
+  /// a cache-off rebuild replaces the slot.
+  std::shared_ptr<const GoodPathTable> good_path(
+      const TestProgram& program, const sim::CpuConfig& config,
+      CutId target);
+
   /// Named pattern set for a component, built by `build` on a cold miss.
   /// `tag` names the generator (e.g. "atpg-podem") and is part of the key,
   /// so differently-generated sets for the same component never alias. The
@@ -208,14 +220,27 @@ class GradingSession {
     std::vector<std::uint32_t> words;
     std::shared_ptr<const isa::DecodedProgram> decoded;
   };
-  struct GoodRunEntry {
+  /// Identity of one run of a program: image, entry, signature layout and
+  /// CPU configuration.
+  struct RunKey {
+    RunKey(const TestProgram& program, const sim::CpuConfig& config);
+    bool operator==(const RunKey& other) const;
+
     std::uint64_t hash = 0;
     std::uint32_t base = 0;
     std::uint32_t entry = 0;
     std::uint32_t signature_base = 0;
     std::vector<std::uint32_t> words;
     sim::CpuConfig config;
+  };
+  struct GoodRunEntry {
+    RunKey key;
     GoodRun run;
+  };
+  struct GoodPathEntry {
+    RunKey key;
+    CutId target;
+    std::shared_ptr<const GoodPathTable> table;
   };
 
   const netlist::CompiledNetlist& compiled_locked(
@@ -245,6 +270,7 @@ class GradingSession {
   // Deques: growth must not invalidate references handed out earlier.
   std::deque<DecodedEntry> decoded_cache_;
   std::deque<GoodRunEntry> goodrun_cache_;
+  std::vector<GoodPathEntry> goodpath_cache_;
   SessionStats stats_;
   fault::ThreadPool pool_;
 };

@@ -84,7 +84,7 @@ void Cpu::load(const isa::Program& program,
 }
 
 std::uint32_t Cpu::read_word(std::uint32_t addr) const {
-  if (addr + 4 > memory_.size() || (addr & 3u)) {
+  if (std::size_t{addr} + 4 > memory_.size() || (addr & 3u)) {
     throw CpuError("bad word read at " + to_hex32(addr));
   }
   std::uint32_t v;
@@ -93,7 +93,7 @@ std::uint32_t Cpu::read_word(std::uint32_t addr) const {
 }
 
 void Cpu::write_word(std::uint32_t addr, std::uint32_t value) {
-  if (addr + 4 > memory_.size() || (addr & 3u)) {
+  if (std::size_t{addr} + 4 > memory_.size() || (addr & 3u)) {
     throw CpuError("bad word write at " + to_hex32(addr));
   }
   std::memcpy(memory_.data() + addr, &value, 4);

@@ -89,7 +89,7 @@ void PipelinedCpu::load(const isa::Program& program) {
 }
 
 std::uint32_t PipelinedCpu::read_word(std::uint32_t addr) const {
-  if (addr + 4 > memory_.size() || (addr & 3u)) {
+  if (std::size_t{addr} + 4 > memory_.size() || (addr & 3u)) {
     throw CpuError("pipeline: bad word read at " + to_hex32(addr));
   }
   std::uint32_t v;
@@ -98,7 +98,7 @@ std::uint32_t PipelinedCpu::read_word(std::uint32_t addr) const {
 }
 
 void PipelinedCpu::write_word(std::uint32_t addr, std::uint32_t value) {
-  if (addr + 4 > memory_.size() || (addr & 3u)) {
+  if (std::size_t{addr} + 4 > memory_.size() || (addr & 3u)) {
     throw CpuError("pipeline: bad word write at " + to_hex32(addr));
   }
   std::memcpy(memory_.data() + addr, &value, 4);

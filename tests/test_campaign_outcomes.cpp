@@ -1,8 +1,8 @@
 // Hardened campaign runtime: RunOutcome taxonomy, watchdog budgets derived
 // from the good run, the software-MPU store guard, fault-tolerant campaign
 // execution, and the injector's per-operation rule (activation per fault
-// model plus the armed-result table) against a per-operation reference
-// oracle (tests for core/inject.{hpp,cpp}).
+// model, the good-path table and the off-path memo) against a
+// per-operation reference oracle (tests for core/inject.{hpp,cpp}).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -318,6 +318,22 @@ TEST(CampaignOutcomes, DeterministicAcrossThreadsAndCache) {
 
 // ---- infra-error containment ------------------------------------------------
 
+constexpr fault::FaultModel kAllModels[] = {
+    fault::FaultModel::kStuckAt, fault::FaultModel::kTransition,
+    fault::FaultModel::kTransientSEU, fault::FaultModel::kIntermittent};
+
+// Pin 2 of ALU gate 67, a two-input gate, under every fault model: a site
+// inside the pin range that no net drives.
+std::vector<fault::Fault> unconnected_pin_faults(const ProcessorModel& model) {
+  const netlist::Netlist& nl = model.component(CutId::kAlu).netlist;
+  EXPECT_EQ(nl.gate(67).in[2], netlist::kNoNet);
+  std::vector<fault::Fault> out;
+  for (const fault::FaultModel fm : kAllModels) {
+    out.push_back(fault::Fault{netlist::Site{67, 2}, true, fm});
+  }
+  return out;
+}
+
 TEST(CampaignOutcomes, InvalidSiteIsInfraErrorOnlyForThatFault) {
   CampaignFixture& f = fixture();
   GradingSession session(f.model, {.num_threads = 2});
@@ -362,6 +378,28 @@ TEST(CampaignOutcomes, InvalidSiteIsInfraErrorOnlyForThatFault) {
   for (std::size_t k = 0; k < out.size(); ++k) {
     EXPECT_EQ(serial[k].outcome, out[k].outcome);
   }
+
+  // An input pin the gate does not have is no site either, under every
+  // fault model: each such fault alone is kInfraError, in both forms.
+  std::vector<fault::Fault> alu_faults = first_faults(f.model, CutId::kAlu, 4);
+  for (const fault::Fault& unconnected : unconnected_pin_faults(f.model)) {
+    alu_faults.insert(alu_faults.begin() + 1, unconnected);
+  }
+  const auto expect_infra_only_unconnected =
+      [&](const std::vector<InjectionOutcome>& got, const char* form) {
+        ASSERT_EQ(got.size(), alu_faults.size()) << form;
+        for (std::size_t k = 0; k < got.size(); ++k) {
+          const bool unconnected = k >= 1 && k <= 4;
+          EXPECT_EQ(got[k].outcome == RunOutcome::kInfraError, unconnected)
+              << form << " fault " << k;
+        }
+      };
+  expect_infra_only_unconnected(
+      run_injection_campaign(session, f.program, CutId::kAlu, alu_faults),
+      "session");
+  expect_infra_only_unconnected(
+      run_injection_campaign(f.model, f.program, CutId::kAlu, alu_faults),
+      "session-less");
 }
 
 TEST(CampaignOutcomes, InvalidSiteThrowsFromSingleInjection) {
@@ -372,6 +410,18 @@ TEST(CampaignOutcomes, InvalidSiteThrowsFromSingleInjection) {
   bogus.site.gate = 0x40000000u;
   EXPECT_THROW(run_with_injection(f.model, f.program, CutId::kAlu, bogus),
                std::out_of_range);
+  GradingSession session(f.model, {.num_threads = 1});
+  for (const fault::Fault& unconnected : unconnected_pin_faults(f.model)) {
+    const std::string where = fault::fault_model_name(unconnected.model);
+    EXPECT_THROW(
+        run_with_injection(f.model, f.program, CutId::kAlu, unconnected),
+        std::out_of_range)
+        << where;
+    EXPECT_THROW(
+        run_with_injection(session, f.program, CutId::kAlu, unconnected),
+        std::out_of_range)
+        << where;
+  }
 }
 
 // ---- evaluation surface ----------------------------------------------------
@@ -562,10 +612,6 @@ void expect_same_outcome(const InjectionOutcome& got,
   EXPECT_EQ(g.halted, w.halted) << where;
 }
 
-constexpr fault::FaultModel kAllModels[] = {
-    fault::FaultModel::kStuckAt, fault::FaultModel::kTransition,
-    fault::FaultModel::kTransientSEU, fault::FaultModel::kIntermittent};
-
 // `n` distinct collapsed faults of `cut` under `model`, drawn with a fixed
 // seed.
 std::vector<fault::Fault> sampled_faults(GradingSession& session, CutId cut,
@@ -583,12 +629,94 @@ std::vector<fault::Fault> sampled_faults(GradingSession& session, CutId cut,
   return out;
 }
 
+// Off-path evaluations of one guarded run through the campaign-form
+// injector with the session's good-path table, and whether it reached
+// `break`.
+struct PathProbe {
+  bool halted = false;
+  std::uint64_t off_path_evals = 0;
+};
+
+PathProbe probe_path(GradingSession& session, const TestProgram& p,
+                     CutId cut, const fault::Fault& fault,
+                     const sim::RunBudget& budget) {
+  const auto table = session.good_path(p, {}, cut);
+  GateLevelFaultInjector injector(session.model().component(cut).netlist,
+                                  session.compiled(cut), *table, cut, fault);
+  const sim::StoreGuard guard = store_guard_for(p);
+  sim::Cpu bad;
+  bad.reset();
+  bad.load(p.image);
+  sim::InjectSink<GateLevelFaultInjector> sink{&injector};
+  const sim::GuardedResult run =
+      bad.run_guarded(p.entry, sink, budget, &guard);
+  return {run.reason == sim::StopReason::kHalted, injector.off_path_evals()};
+}
+
+// Two faults of `cut` under `model`, in a seeded scan of the collapsed
+// universe: the first whose run applies only good-path tuples all the way
+// to `break` (every faulty answer comes from a swept table block), and the
+// first whose run applies at least one tuple off the good path (answered
+// by a single-tuple evaluation).
+std::vector<fault::Fault> good_path_and_off_path_faults(
+    GradingSession& session, const TestProgram& p, CutId cut,
+    fault::FaultModel model, double factor) {
+  sim::Cpu good;
+  good.reset();
+  good.load(p.image);
+  const sim::RunBudget budget = run_budget_for(good.run(p.entry), factor);
+  const std::vector<fault::Fault> scan = sampled_faults(
+      session, cut, model, 256, 0x9a7f + static_cast<unsigned>(model));
+  std::optional<fault::Fault> on_path, off_path;
+  for (const fault::Fault& fa : scan) {
+    const PathProbe probe = probe_path(session, p, cut, fa, budget);
+    if (!on_path && probe.halted && probe.off_path_evals == 0) on_path = fa;
+    if (!off_path && probe.off_path_evals > 0) off_path = fa;
+    if (on_path && off_path) break;
+  }
+  EXPECT_TRUE(on_path.has_value()) << "no fault stays on the good path";
+  EXPECT_TRUE(off_path.has_value()) << "no fault leaves the good path";
+  std::vector<fault::Fault> out;
+  if (on_path) out.push_back(*on_path);
+  if (off_path) out.push_back(*off_path);
+  return out;
+}
+
+// Each product (high word folded into the low) is the next multiplicand,
+// 64 times over, so a multiplier fault that corrupts one product moves
+// every later multiplication off the good path.
+Routine chained_multiply_routine() {
+  Routine r;
+  r.name = "mulchain";
+  r.target = CutId::kMultiplier;
+  r.strategy = TpgStrategy::kNone;
+  r.style = "crafted";
+  r.assembly =
+      "li    $t0, 0x9e3779b9\n"
+      "li    $t1, 0x7f4a7c15\n"
+      "li    $t3, 64\n"
+      "mulchain_loop:\n"
+      "multu $t0, $t1\n"
+      "mfhi  $t2\n"
+      "mflo  $t0\n"
+      "xor   $t0, $t0, $t2\n"
+      "addiu $t3, $t3, -1\n"
+      "bne   $t3, $zero, mulchain_loop\n"
+      "nop\n"
+      "la    $s6, signatures\n"
+      "sw    $t0, 0($s6)\n";
+  r.sig_slot = 0;
+  return r;
+}
+
 class InjectionOracle : public ::testing::TestWithParam<CutId> {};
 
 // Seeded samples of every fault model, run through the campaign (1 and 4
 // threads) and through the per-operation oracle: every InjectionOutcome
-// field must agree. A budget factor of 2 keeps hang runs short without
-// hiding them.
+// field must agree. Each sample includes a fault that stays on the good
+// path and one that leaves it, so both the swept-table answers and the
+// single-tuple evaluations face the oracle. A budget factor of 2 keeps hang
+// runs short without hiding them.
 TEST_P(InjectionOracle, CampaignMatchesPerOperationReference) {
   constexpr std::size_t kSample = 4;
   constexpr double kFactor = 2.0;
@@ -598,7 +726,33 @@ TEST_P(InjectionOracle, CampaignMatchesPerOperationReference) {
   inject.budget_factor = kFactor;
   GradingSession serial(f.model, {.num_threads = 1});
   GradingSession parallel(f.model, {.num_threads = 4});
+  const netlist::Netlist& nl = f.model.component(cut).netlist;
+  // No multiplier fault leaves the default program's good path: its
+  // products never feed a later multiplication. A chained routine, where
+  // each product is the next multiplicand, supplies the multiplier's
+  // good-path and off-path faults.
+  const TestProgram path_program =
+      cut == CutId::kMultiplier
+          ? f.builder.build_standalone(chained_multiply_routine())
+          : f.program;
   OutcomeHistogram seen;
+  const auto expect_oracle = [&](const TestProgram& p,
+                                 const std::vector<fault::Fault>& faults) {
+    const std::vector<InjectionOutcome> one =
+        run_injection_campaign(serial, p, cut, faults, {}, inject);
+    const std::vector<InjectionOutcome> four =
+        run_injection_campaign(parallel, p, cut, faults, {}, inject);
+    ASSERT_EQ(one.size(), faults.size());
+    ASSERT_EQ(four.size(), faults.size());
+    for (std::size_t k = 0; k < faults.size(); ++k) {
+      const InjectionOutcome want =
+          oracle_outcome(f.model, p, cut, faults[k], kFactor);
+      const std::string where = fault::fault_name(nl, faults[k]);
+      expect_same_outcome(one[k], want, where + " (1 thread)");
+      expect_same_outcome(four[k], want, where + " (4 threads)");
+      seen.add(want.outcome);
+    }
+  };
   for (const fault::FaultModel fm : kAllModels) {
     std::vector<fault::Fault> faults = sampled_faults(
         serial, cut, fm, kSample, 0x0a11ce + static_cast<unsigned>(fm));
@@ -609,21 +763,9 @@ TEST_P(InjectionOracle, CampaignMatchesPerOperationReference) {
       address.model = fm;
       faults.push_back(address);
     }
-    const std::vector<InjectionOutcome> one =
-        run_injection_campaign(serial, f.program, cut, faults, {}, inject);
-    const std::vector<InjectionOutcome> four =
-        run_injection_campaign(parallel, f.program, cut, faults, {}, inject);
-    ASSERT_EQ(one.size(), faults.size());
-    ASSERT_EQ(four.size(), faults.size());
-    const netlist::Netlist& nl = f.model.component(cut).netlist;
-    for (std::size_t k = 0; k < faults.size(); ++k) {
-      const InjectionOutcome want =
-          oracle_outcome(f.model, f.program, cut, faults[k], kFactor);
-      const std::string where = fault::fault_name(nl, faults[k]);
-      expect_same_outcome(one[k], want, where + " (1 thread)");
-      expect_same_outcome(four[k], want, where + " (4 threads)");
-      seen.add(want.outcome);
-    }
+    expect_oracle(f.program, faults);
+    expect_oracle(path_program, good_path_and_off_path_faults(
+                                    serial, path_program, cut, fm, kFactor));
   }
   EXPECT_EQ(seen.count(RunOutcome::kInfraError), 0u);
   if (cut == CutId::kAlu) {
@@ -736,8 +878,9 @@ std::uint64_t behavioural_result(CutId cut, const OpTuple& t) {
   }
 }
 
-// More distinct random tuples than the table holds, interleaved with
-// repeats of earlier (possibly evicted or colliding) ones: every answer must
+// More distinct random tuples than the memo holds (all off the program's
+// good path), interleaved with repeats of earlier (possibly evicted or
+// colliding) ones: every answer must
 // equal the reference netlist with the force armed when the operation is
 // active, and the behavioural reference when it is not — for all three
 // CUTs and all four fault models.
@@ -749,6 +892,7 @@ TEST(InjectorMemo, AnswersIndependentOfHistoryAndEviction) {
   for (const CutId cut : {CutId::kAlu, CutId::kShifter, CutId::kMultiplier}) {
     const netlist::Netlist& nl = f.model.component(cut).netlist;
     const CutPorts ports = ports_of(nl, cut);
+    const auto good_path = session.good_path(f.program, {}, cut);
     Rng rng(0x5107 + static_cast<unsigned>(cut));
 
     // Tuples come in families that differ in one operand only: 32 values
@@ -809,7 +953,8 @@ TEST(InjectorMemo, AnswersIndependentOfHistoryAndEviction) {
                             &line_values);
         }
 
-        GateLevelFaultInjector injector(session, cut, fa);
+        GateLevelFaultInjector injector(nl, session.compiled(cut), *good_path,
+                                        cut, fa);
         const std::uint64_t key = fault::fault_stream_key(fa);
         bool prev_sv = false;
         std::size_t mismatches = 0, active_ops = 0, faulty_answers = 0;
@@ -840,6 +985,145 @@ TEST(InjectorMemo, AnswersIndependentOfHistoryAndEviction) {
         }
       }
     }
+  }
+}
+
+// ---- good-path table ---------------------------------------------------------
+
+// Every operand tuple one CUT receives, in first-use order, deduplicated.
+class TupleRecorder final : public sim::CpuHooks {
+ public:
+  explicit TupleRecorder(CutId cut) : cut_(cut) {}
+  void on_alu(rtlgen::AluOp op, std::uint32_t a, std::uint32_t b) override {
+    if (cut_ == CutId::kAlu) add({static_cast<std::uint32_t>(op), a, b});
+  }
+  void on_shift(rtlgen::ShiftOp op, std::uint32_t value,
+                std::uint32_t shamt) override {
+    if (cut_ == CutId::kShifter) {
+      add({static_cast<std::uint32_t>(op), value, shamt});
+    }
+  }
+  void on_mult(std::uint32_t a, std::uint32_t b) override {
+    if (cut_ == CutId::kMultiplier) add({0, a, b});
+  }
+  const std::vector<OpTuple>& tuples() const { return tuples_; }
+
+ private:
+  void add(const OpTuple& t) {
+    if (seen_.insert(t).second) tuples_.push_back(t);
+  }
+  CutId cut_;
+  std::set<OpTuple> seen_;
+  std::vector<OpTuple> tuples_;
+};
+
+// The table holds exactly the distinct tuples of the fault-free run, in
+// first-use order, with their fault-free outputs; and every answer an
+// injector gives from a swept table block equals a reference Evaluator
+// with the fault forced, without a single off-path evaluation.
+TEST(GoodPathTable, HoldsTheTracedTuplesAndPrefillsExactAnswers) {
+  CampaignFixture& f = fixture();
+  GradingSession session(f.model, {.num_threads = 1});
+  for (const CutId cut : {CutId::kAlu, CutId::kShifter, CutId::kMultiplier}) {
+    const netlist::Netlist& nl = f.model.component(cut).netlist;
+    const std::string name = f.model.component(cut).name;
+    TupleRecorder recorder(cut);
+    sim::Cpu cpu;
+    cpu.reset();
+    cpu.load(f.program.image);
+    sim::TraceSink<TupleRecorder> sink{&recorder};
+    ASSERT_TRUE(cpu.run_sink(f.program.entry, sink).halted);
+    const std::vector<OpTuple>& want = recorder.tuples();
+
+    const GoodPathTable table =
+        GoodPathTable::trace(f.model, f.program, {}, cut);
+    ASSERT_EQ(table.size(), want.size()) << name;
+    EXPECT_EQ(table.tuples().size(), want.size()) << name;
+    EXPECT_EQ(table.tuples().block_count(), (want.size() + 63) / 64) << name;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const OpTuple& t = want[i];
+      EXPECT_EQ(table.tuple(i).op, t.op) << name << " tuple " << i;
+      EXPECT_EQ(table.tuple(i).a, t.a) << name << " tuple " << i;
+      EXPECT_EQ(table.tuple(i).b, t.b) << name << " tuple " << i;
+      EXPECT_EQ(table.find(t.op, t.a, t.b), i) << name << " tuple " << i;
+      EXPECT_EQ(table.good(i), behavioural_result(cut, t))
+          << name << " tuple " << i;
+    }
+    Rng rng(0x6a7e + static_cast<unsigned>(cut));
+    std::set<OpTuple> on_path(want.begin(), want.end());
+    for (int k = 0; k < 64; ++k) {
+      const std::uint32_t b = rng.next32();
+      const OpTuple t{want[0].op, rng.next32(),
+                      cut == CutId::kShifter ? b % 32 : b};
+      if (!on_path.count(t)) {
+        EXPECT_EQ(table.find(t.op, t.a, t.b), GoodPathTable::kNotFound);
+      }
+    }
+
+    const CutPorts ports = ports_of(nl, cut);
+    std::vector<fault::Fault> faults = sampled_faults(
+        session, cut, fault::FaultModel::kStuckAt, 3, 0x7ab1e);
+    faults.push_back(fault::Fault{netlist::Site{(*ports.out)[3]}, true});
+    // Visit the tuples in a shuffled order so blocks are swept out of
+    // order and lanes are answered long after their block's sweep.
+    std::vector<std::size_t> order(want.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.below(i)]);
+    }
+    for (const fault::Fault& fa : faults) {
+      const std::string where = name + " " + fault::fault_name(nl, fa);
+      netlist::Evaluator armed(nl);
+      armed.inject_broadcast(fa.site, fa.stuck_value);
+      const std::vector<std::uint64_t> faulty =
+          reference_outputs(armed, ports, want);
+      GateLevelFaultInjector injector(nl, session.compiled(cut), table, cut,
+                                      fa);
+      std::size_t mismatches = 0, corrupted = 0;
+      for (const std::size_t i : order) {
+        const std::optional<std::uint64_t> got =
+            hook_result(injector, cut, want[i]);
+        ASSERT_TRUE(got.has_value()) << where;
+        mismatches += *got != faulty[i];
+        corrupted += faulty[i] != table.good(i);
+      }
+      EXPECT_EQ(mismatches, 0u) << where;
+      EXPECT_EQ(injector.corrupted_results(), corrupted) << where;
+      EXPECT_EQ(injector.off_path_evals(), 0u) << where;
+    }
+  }
+}
+
+// One table per (program, config, CUT), shared by every campaign on the
+// session; the cache-off rebuild yields an equal table in a new handout
+// and leaves the old one valid.
+TEST(GoodPathTable, SessionKeepsOneTablePerProgramAndCut) {
+  CampaignFixture& f = fixture();
+  GradingSession session(f.model, {.num_threads = 1});
+  const auto alu = session.good_path(f.program, {}, CutId::kAlu);
+  EXPECT_EQ(session.good_path(f.program, {}, CutId::kAlu), alu);
+  const auto mul = session.good_path(f.program, {}, CutId::kMultiplier);
+  EXPECT_NE(mul, alu);
+  const TestProgram chain =
+      f.builder.build_standalone(chained_multiply_routine());
+  const auto chain_mul = session.good_path(chain, {}, CutId::kMultiplier);
+  EXPECT_NE(chain_mul, mul);
+  EXPECT_EQ(chain_mul->size(), 64u);
+  sim::CpuConfig no_forwarding;
+  no_forwarding.forwarding = false;
+  EXPECT_NE(session.good_path(f.program, no_forwarding, CutId::kAlu), alu);
+  EXPECT_THROW(session.good_path(f.program, {}, CutId::kDivider),
+               std::invalid_argument);
+
+  GradingSession uncached(f.model, {.num_threads = 1, .cache = false});
+  const auto first = uncached.good_path(f.program, {}, CutId::kShifter);
+  const auto second = uncached.good_path(f.program, {}, CutId::kShifter);
+  EXPECT_NE(first, second);
+  ASSERT_EQ(first->size(), second->size());
+  for (std::size_t i = 0; i < first->size(); ++i) {
+    EXPECT_EQ(first->tuple(i).a, second->tuple(i).a);
+    EXPECT_EQ(first->tuple(i).b, second->tuple(i).b);
+    EXPECT_EQ(first->good(i), second->good(i));
   }
 }
 

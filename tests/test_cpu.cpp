@@ -350,6 +350,19 @@ TEST(Cpu, MisalignedAccessThrows) {
                CpuError);
 }
 
+TEST(Cpu, AccessAtTopOfAddressSpaceThrows) {
+  // 0xfffffffc + 4 wraps to 0 in 32 bits; the bounds check must not.
+  Cpu cpu;
+  cpu.reset();
+  EXPECT_THROW(cpu.read_word(0xfffffffcu), CpuError);
+  EXPECT_THROW(cpu.write_word(0xfffffffcu, 0), CpuError);
+  EXPECT_THROW(run_program(cpu, R"(
+    li $s3, -4
+    lw $t0, 0($s3)
+  )"),
+               CpuError);
+}
+
 // ---- hooks -----------------------------------------------------------------
 
 struct RecordingHooks : CpuHooks {

@@ -34,6 +34,14 @@ TEST(Pipeline, BasicArithmeticAndForwarding) {
   EXPECT_EQ(s.pipeline_stall_cycles, 0u);
 }
 
+TEST(Pipeline, AccessAtTopOfAddressSpaceThrows) {
+  // 0xfffffffc + 4 wraps to 0 in 32 bits; the bounds check must not.
+  PipelinedCpu cpu;
+  cpu.reset();
+  EXPECT_THROW(cpu.read_word(0xfffffffcu), CpuError);
+  EXPECT_THROW(cpu.write_word(0xfffffffcu, 0), CpuError);
+}
+
 TEST(Pipeline, DelaySlotSemantics) {
   PipelinedCpu cpu;
   run_pipelined(cpu, R"(
