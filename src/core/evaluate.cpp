@@ -261,12 +261,8 @@ ProgramEvaluation evaluate_program(GradingSession& session,
       // Cone first: with the cache off it (re)builds compiled + observe, so
       // the references fetched after it stay the live objects.
       reach = session.cone(info.id, mode).data();
-      const bool opt = options.sim.netlist_opt < 0
-                           ? fault::default_netlist_opt()
-                           : options.sim.netlist_opt != 0;
-      compiled = &session.compiled(info.id,
-                                   opt ? netlist::CompileOptions::all()
-                                       : netlist::CompileOptions{});
+      compiled = &session.compiled(
+          info.id, fault::resolve_compile_options(options.sim.netlist_opt));
     }
     const fault::ObserveSet& obs = session.observe(info.id, mode);
     const fault::EngineContext& ctx = ctxs.emplace_back(

@@ -1,6 +1,5 @@
 #include "core/session.hpp"
 
-#include "common/hash.hpp"
 #include "common/serialize.hpp"
 #include "core/inject.hpp"
 #include "fault/engine.hpp"
@@ -8,54 +7,6 @@
 namespace sbst::core {
 
 namespace {
-
-// In-memory scan accelerator for the program-level caches; every probe
-// still compares the full key. (Bit-compatible with common::fnv1a_bytes
-// folded over little-endian u64 values.)
-std::uint64_t fnv64(std::uint64_t h, std::uint64_t v) {
-  return common::fnv1a_mix_u64(h, v);
-}
-
-std::uint64_t hash_image(const isa::Program& image) {
-  std::uint64_t h = common::kFnvOffsetBasis;
-  h = fnv64(h, image.base);
-  h = fnv64(h, image.words.size());
-  for (const std::uint32_t w : image.words) h = fnv64(h, w);
-  return h;
-}
-
-std::uint64_t hash_cache_config(std::uint64_t h, const sim::CacheConfig& c) {
-  h = fnv64(h, c.enabled);
-  h = fnv64(h, c.line_words);
-  h = fnv64(h, c.lines);
-  return fnv64(h, c.miss_penalty);
-}
-
-std::uint64_t hash_cpu_config(std::uint64_t h, const sim::CpuConfig& c) {
-  h = fnv64(h, c.forwarding);
-  h = fnv64(h, c.mem_access_cycles);
-  h = fnv64(h, c.mult_cycles);
-  h = fnv64(h, c.div_cycles);
-  h = fnv64(h, c.branch_taken_penalty);
-  h = fnv64(h, c.mem_bytes);
-  h = hash_cache_config(h, c.icache);
-  return hash_cache_config(h, c.dcache);
-}
-
-bool cache_config_equal(const sim::CacheConfig& a, const sim::CacheConfig& b) {
-  return a.enabled == b.enabled && a.line_words == b.line_words &&
-         a.lines == b.lines && a.miss_penalty == b.miss_penalty;
-}
-
-bool cpu_config_equal(const sim::CpuConfig& a, const sim::CpuConfig& b) {
-  return a.forwarding == b.forwarding &&
-         a.mem_access_cycles == b.mem_access_cycles &&
-         a.mult_cycles == b.mult_cycles && a.div_cycles == b.div_cycles &&
-         a.branch_taken_penalty == b.branch_taken_penalty &&
-         a.mem_bytes == b.mem_bytes &&
-         cache_config_equal(a.icache, b.icache) &&
-         cache_config_equal(a.dcache, b.dcache);
-}
 
 // ---- canonical artifact keys ----------------------------------------------
 // One constructor per kind, zeroing every irrelevant axis (see ArtifactKey).
@@ -72,20 +23,12 @@ store::ArtifactKey universe_key(const netlist::Netlist& nl,
   return k;
 }
 
-store::ArtifactKey observe_key(CutId id, ObserveMode mode,
-                               const netlist::Netlist& nl) {
-  store::ArtifactKey k;
-  k.kind = "observe";
-  k.cut = static_cast<std::uint32_t>(id);
-  k.mode = static_cast<std::uint8_t>(mode);
-  k.content = nl.content_hash();
-  return k;
-}
-
-store::ArtifactKey cone_key(CutId id, ObserveMode mode,
+// Observe sets and cones are memory-only; their keys carry the CUT and the
+// mode because the observe rules depend on both.
+store::ArtifactKey mode_key(const char* kind, CutId id, ObserveMode mode,
                             const netlist::Netlist& nl) {
   store::ArtifactKey k;
-  k.kind = "cone";
+  k.kind = kind;
   k.cut = static_cast<std::uint32_t>(id);
   k.mode = static_cast<std::uint8_t>(mode);
   k.content = nl.content_hash();
@@ -102,10 +45,11 @@ store::ArtifactKey patterns_key(const netlist::Netlist& nl,
   return k;
 }
 
-// ---- program-scoped store keys and the good-run codec ---------------------
-// Decoded programs and good runs are keyed by the full program image (plus
-// run parameters), not a hash of it: the store compares key bytes verbatim,
-// so carrying the real key material rules out collision aliasing outright.
+// ---- program-scoped keys and the good-run codec ---------------------------
+// Decoded programs, good runs and good paths are keyed by the full program
+// image (plus run parameters), not a hash of it: the memory cache and the
+// store both compare key bytes verbatim, so a hash collision cannot alias
+// two programs.
 
 std::vector<std::uint8_t> decoded_key_bytes(const isa::Program& image) {
   common::ByteWriter w;
@@ -143,8 +87,7 @@ std::vector<std::uint8_t> goodrun_key_bytes(const TestProgram& program,
   return w.take();
 }
 
-std::vector<std::uint8_t> serialize_good_run(const GoodRun& run) {
-  common::ByteWriter w;
+void serialize_good_run(const GoodRun& run, common::ByteWriter& w) {
   w.put_u32(kGoodRunSerialVersion);
   const sim::ExecStats& s = run.stats;
   w.put_u64(s.instructions);
@@ -159,12 +102,12 @@ std::vector<std::uint8_t> serialize_good_run(const GoodRun& run) {
   w.put_u64(s.dcache_accesses);
   w.put_bool(s.halted);
   w.put_vec_u32(run.signatures);
-  return w.take();
 }
 
-bool deserialize_good_run(common::ByteReader& r, GoodRun& out) {
-  if (r.get_u32() != kGoodRunSerialVersion) return false;
-  sim::ExecStats& s = out.stats;
+std::shared_ptr<const GoodRun> deserialize_good_run(common::ByteReader& r) {
+  if (r.get_u32() != kGoodRunSerialVersion) return nullptr;
+  auto out = std::make_shared<GoodRun>();
+  sim::ExecStats& s = out->stats;
   s.instructions = r.get_u64();
   s.cpu_cycles = r.get_u64();
   s.pipeline_stall_cycles = r.get_u64();
@@ -176,8 +119,14 @@ bool deserialize_good_run(common::ByteReader& r, GoodRun& out) {
   s.icache_accesses = r.get_u64();
   s.dcache_accesses = r.get_u64();
   s.halted = r.get_bool();
-  out.signatures = r.get_vec_u32();
-  return r.at_end() && out.signatures.size() == kSignatureSlots;
+  out->signatures = r.get_vec_u32();
+  if (!r.at_end() || out->signatures.size() != kSignatureSlots) return nullptr;
+  return out;
+}
+
+template <typename T>
+void serialize_into(const T& artifact, common::ByteWriter& w) {
+  artifact.serialize(w);
 }
 
 }  // namespace
@@ -223,41 +172,75 @@ GradingSession::GradingSession(const ProcessorModel& model,
       pool_(fault::resolve_thread_count(options.num_threads)) {}
 
 unsigned GradingSession::lanes() const {
-  const unsigned lanes =
-      options_.lanes == 0 ? fault::default_lanes() : options_.lanes;
-  return lanes == 4 ? 4 : 1;
+  return fault::resolve_lanes(options_.lanes, fault::Engine::kEvent);
 }
 
 netlist::CompileOptions GradingSession::compile_options() const {
-  const bool opt = options_.netlist_opt < 0 ? fault::default_netlist_opt()
-                                            : options_.netlist_opt != 0;
-  return opt ? netlist::CompileOptions::all() : netlist::CompileOptions{};
+  return fault::resolve_compile_options(options_.netlist_opt);
 }
 
-std::optional<std::vector<std::uint8_t>> GradingSession::probe_store(
-    const store::ArtifactKey& key) {
-  return probe_store(key.kind, key.bytes());
-}
+template <typename T>
+struct GradingSession::Recipe {
+  std::string kind;
+  std::vector<std::uint8_t> key;
+  std::function<std::shared_ptr<const T>()> build;
+  /// Store codec; a recipe without one is memory-only. decode returns null
+  /// for a payload it rejects, which counts as store_invalid.
+  std::function<std::shared_ptr<const T>(common::ByteReader&)> decode =
+      nullptr;
+  std::function<void(const T&, common::ByteWriter&)> encode = nullptr;
+  std::size_t SessionStats::*builds = nullptr;
+  std::size_t SessionStats::*hits = nullptr;
+  /// Run build with the session unlocked, so it may call the accessors.
+  bool build_unlocked = false;
+};
 
-std::optional<std::vector<std::uint8_t>> GradingSession::probe_store(
-    const std::string& kind, const std::vector<std::uint8_t>& key_bytes) {
-  if (!options_.store) return std::nullopt;
-  ++stats_.store_loads;
-  auto payload = options_.store->load(kind, key_bytes);
-  if (!payload) ++stats_.store_misses;
-  return payload;
-}
-
-void GradingSession::write_store(const store::ArtifactKey& key,
-                                 const std::vector<std::uint8_t>& payload) {
-  write_store(key.kind, key.bytes(), payload);
-}
-
-void GradingSession::write_store(const std::string& kind,
-                                 const std::vector<std::uint8_t>& key_bytes,
-                                 const std::vector<std::uint8_t>& payload) {
-  if (!options_.store) return;
-  if (options_.store->save(kind, key_bytes, payload)) ++stats_.store_writes;
+template <typename T>
+std::shared_ptr<const T> GradingSession::fetch(
+    std::unique_lock<std::mutex>& lock, const Recipe<T>& recipe) {
+  std::shared_ptr<const void>& slot = cache_[{recipe.kind, recipe.key}];
+  if (slot && options_.cache) {
+    if (recipe.hits) ++(stats_.*recipe.hits);
+    return std::static_pointer_cast<const T>(slot);
+  }
+  const bool stored = options_.store && recipe.decode;
+  if (stored) {
+    ++stats_.store_loads;
+    if (auto payload = options_.store->load(recipe.kind, recipe.key)) {
+      common::ByteReader r(*payload);
+      if (std::shared_ptr<const T> loaded = recipe.decode(r)) {
+        ++stats_.store_hits;
+        slot = loaded;
+        return loaded;
+      }
+      ++stats_.store_invalid;
+    } else {
+      ++stats_.store_misses;
+    }
+  }
+  std::shared_ptr<const T> built;
+  if (recipe.build_unlocked) {
+    lock.unlock();
+    built = recipe.build();
+    lock.lock();
+  } else {
+    built = recipe.build();
+  }
+  if (recipe.builds) ++(stats_.*recipe.builds);
+  if (slot && options_.cache) {
+    // Lost a race to a concurrent unlocked build; keep the published object
+    // so references already handed out stay valid.
+    return std::static_pointer_cast<const T>(slot);
+  }
+  slot = built;
+  if (stored) {
+    common::ByteWriter w;
+    recipe.encode(*built, w);
+    if (options_.store->save(recipe.kind, recipe.key, w.bytes())) {
+      ++stats_.store_writes;
+    }
+  }
+  return built;
 }
 
 const fault::FaultUniverse& GradingSession::universe(CutId id) {
@@ -266,295 +249,184 @@ const fault::FaultUniverse& GradingSession::universe(CutId id) {
 
 const fault::FaultUniverse& GradingSession::universe(CutId id,
                                                      fault::FaultModel model) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   const netlist::Netlist& nl = model_->component(id).netlist;
   const store::ArtifactKey key = universe_key(nl, model);
-  ArtifactSlot& slot = artifacts_[key];
-  if (slot.universe && options_.cache) {
-    ++stats_.universe_hits;
-    return *slot.universe;
-  }
-  if (auto payload = probe_store(key)) {
-    common::ByteReader r(*payload);
-    auto u = fault::FaultUniverse::deserialize(nl, r);
-    // A payload whose embedded model disagrees with the key is corrupt (or
-    // hand-edited); treat it like any other invalid entry and rebuild.
-    if (u && u->model() == model) {
-      ++stats_.store_hits;
-      slot.universe = std::move(u);
-      return *slot.universe;
-    }
-    ++stats_.store_invalid;
-  }
-  ++stats_.universe_builds;
-  slot.universe = std::make_unique<fault::FaultUniverse>(nl, model);
-  if (options_.store) {
-    common::ByteWriter w;
-    slot.universe->serialize(w);
-    write_store(key, w.bytes());
-  }
-  return *slot.universe;
+  return *fetch<fault::FaultUniverse>(
+      lock,
+      {.kind = key.kind,
+       .key = key.bytes(),
+       .build =
+           [&] { return std::make_shared<fault::FaultUniverse>(nl, model); },
+       // A payload whose embedded model disagrees with the key is corrupt
+       // (or hand-edited); it counts as invalid and is rebuilt.
+       .decode = [&](common::ByteReader& r)
+           -> std::shared_ptr<const fault::FaultUniverse> {
+         auto u = fault::FaultUniverse::deserialize(nl, r);
+         if (!u || u->model() != model) return nullptr;
+         return u;
+       },
+       .encode = serialize_into<fault::FaultUniverse>,
+       .builds = &SessionStats::universe_builds,
+       .hits = &SessionStats::universe_hits});
 }
 
 const netlist::CompiledNetlist& GradingSession::compiled_locked(
-    CutId id, const netlist::CompileOptions& opts) {
+    std::unique_lock<std::mutex>& lock, CutId id,
+    const netlist::CompileOptions& opts) {
   const netlist::Netlist& nl = model_->component(id).netlist;
   const store::ArtifactKey key = fault::compiled_store_key(nl, opts, lanes());
-  ArtifactSlot& slot = artifacts_[key];
-  if (slot.compiled && options_.cache) {
-    ++stats_.compile_hits;
-    return *slot.compiled;
-  }
-  if (auto payload = probe_store(key)) {
-    common::ByteReader r(*payload);
-    auto cn = netlist::CompiledNetlist::deserialize(nl, r);
-    if (cn && cn->options() == opts) {
-      ++stats_.store_hits;
-      slot.compiled = std::move(cn);
-      return *slot.compiled;
-    }
-    ++stats_.store_invalid;
-  }
-  ++stats_.compile_builds;
-  slot.compiled = std::make_unique<netlist::CompiledNetlist>(nl, opts);
-  if (options_.store) {
-    common::ByteWriter w;
-    slot.compiled->serialize(w);
-    write_store(key, w.bytes());
-  }
-  return *slot.compiled;
+  return *fetch<netlist::CompiledNetlist>(
+      lock,
+      {.kind = key.kind,
+       .key = key.bytes(),
+       .build =
+           [&] { return std::make_shared<netlist::CompiledNetlist>(nl, opts); },
+       .decode = [&](common::ByteReader& r)
+           -> std::shared_ptr<const netlist::CompiledNetlist> {
+         auto cn = netlist::CompiledNetlist::deserialize(nl, r);
+         if (!cn || !(cn->options() == opts)) return nullptr;
+         return cn;
+       },
+       .encode = serialize_into<netlist::CompiledNetlist>,
+       .builds = &SessionStats::compile_builds,
+       .hits = &SessionStats::compile_hits});
 }
 
 const netlist::CompiledNetlist& GradingSession::compiled(CutId id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return compiled_locked(id, compile_options());
+  std::unique_lock<std::mutex> lock(mutex_);
+  return compiled_locked(lock, id, compile_options());
 }
 
 const netlist::CompiledNetlist& GradingSession::compiled(
     CutId id, const netlist::CompileOptions& opts) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return compiled_locked(id, opts);
+  std::unique_lock<std::mutex> lock(mutex_);
+  return compiled_locked(lock, id, opts);
 }
 
-const fault::ObserveSet& GradingSession::observe_locked(CutId id,
-                                                        ObserveMode mode) {
+const fault::ObserveSet& GradingSession::observe_locked(
+    std::unique_lock<std::mutex>& lock, CutId id, ObserveMode mode) {
   const ComponentInfo& info = model_->component(id);
-  ArtifactSlot& slot = artifacts_[observe_key(id, mode, info.netlist)];
-  if (slot.observe && options_.cache) {
-    ++stats_.observe_hits;
-    return *slot.observe;
-  }
-  ++stats_.observe_builds;
-  slot.observe =
-      std::make_unique<fault::ObserveSet>(observation_points(info, mode));
-  return *slot.observe;
+  const store::ArtifactKey key = mode_key("observe", id, mode, info.netlist);
+  return *fetch<fault::ObserveSet>(
+      lock, {.kind = key.kind,
+             .key = key.bytes(),
+             .build = [&] {
+               return std::make_shared<fault::ObserveSet>(
+                   observation_points(info, mode));
+             },
+             .builds = &SessionStats::observe_builds,
+             .hits = &SessionStats::observe_hits});
 }
 
 const fault::ObserveSet& GradingSession::observe(CutId id, ObserveMode mode) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return observe_locked(id, mode);
+  std::unique_lock<std::mutex> lock(mutex_);
+  return observe_locked(lock, id, mode);
 }
 
 const std::vector<std::uint8_t>& GradingSession::cone(CutId id,
                                                       ObserveMode mode) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   const netlist::Netlist& nl = model_->component(id).netlist;
-  ArtifactSlot& slot = artifacts_[cone_key(id, mode, nl)];
-  if (slot.cone && options_.cache) {
-    ++stats_.cone_hits;
-    return *slot.cone;
-  }
+  const store::ArtifactKey key = mode_key("cone", id, mode, nl);
   // The cone derives from the compiled netlist and the observe set; fetch
   // both through the cache so a cone build warms them too. fanin_cone
   // traverses ORIGINAL edges, so the cone is identical for every
   // CompileOptions and the mode alone keys this slot.
-  const netlist::CompiledNetlist& cn = compiled_locked(id, compile_options());
-  const fault::ObserveSet& obs = observe_locked(id, mode);
-  ++stats_.cone_builds;
-  slot.cone = std::make_unique<std::vector<std::uint8_t>>(cn.fanin_cone(obs));
-  return *slot.cone;
+  return *fetch<std::vector<std::uint8_t>>(
+      lock, {.kind = key.kind,
+             .key = key.bytes(),
+             .build = [&] {
+               const netlist::CompiledNetlist& cn =
+                   compiled_locked(lock, id, compile_options());
+               const fault::ObserveSet& obs = observe_locked(lock, id, mode);
+               return std::make_shared<std::vector<std::uint8_t>>(
+                   cn.fanin_cone(obs));
+             },
+             .builds = &SessionStats::cone_builds,
+             .hits = &SessionStats::cone_hits});
 }
 
 std::shared_ptr<const isa::DecodedProgram> GradingSession::decoded_locked(
-    const isa::Program& image) {
-  // Store probe / predecode / write-back for one image: shared by the cold
-  // path and the cache-off rebuild path, so both honor the store contract.
-  auto make_decoded = [&]() -> std::shared_ptr<const isa::DecodedProgram> {
-    if (auto payload = probe_store("decoded", decoded_key_bytes(image))) {
-      common::ByteReader r(*payload);
-      if (auto dp = isa::DecodedProgram::deserialize(r)) {
-        ++stats_.store_hits;
-        return std::shared_ptr<const isa::DecodedProgram>(std::move(dp));
-      }
-      ++stats_.store_invalid;
-    }
-    ++stats_.decode_builds;
-    auto dp = std::make_shared<const isa::DecodedProgram>(image);
-    if (options_.store) {
-      common::ByteWriter w;
-      dp->serialize(w);
-      write_store("decoded", decoded_key_bytes(image), w.bytes());
-    }
-    return dp;
-  };
-
-  const std::uint64_t h = hash_image(image);
-  for (DecodedEntry& e : decoded_cache_) {
-    if (e.hash != h || e.base != image.base || e.words != image.words) {
-      continue;
-    }
-    if (options_.cache) {
-      ++stats_.decode_hits;
-      return e.decoded;
-    }
-    e.decoded = make_decoded();
-    return e.decoded;
-  }
-  DecodedEntry e;
-  e.hash = h;
-  e.base = image.base;
-  e.words = image.words;
-  e.decoded = make_decoded();
-  decoded_cache_.push_back(std::move(e));
-  return decoded_cache_.back().decoded;
+    std::unique_lock<std::mutex>& lock, const isa::Program& image) {
+  return fetch<isa::DecodedProgram>(
+      lock,
+      {.kind = "decoded",
+       .key = decoded_key_bytes(image),
+       .build = [&] { return std::make_shared<isa::DecodedProgram>(image); },
+       .decode = [](common::ByteReader& r)
+           -> std::shared_ptr<const isa::DecodedProgram> {
+         return isa::DecodedProgram::deserialize(r);
+       },
+       .encode = serialize_into<isa::DecodedProgram>,
+       .builds = &SessionStats::decode_builds,
+       .hits = &SessionStats::decode_hits});
 }
 
 std::shared_ptr<const isa::DecodedProgram> GradingSession::decoded(
     const isa::Program& image) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return decoded_locked(image);
-}
-
-GradingSession::RunKey::RunKey(const TestProgram& program,
-                               const sim::CpuConfig& cfg)
-    : base(program.image.base),
-      entry(program.entry),
-      signature_base(program.signature_base),
-      words(program.image.words),
-      config(cfg) {
-  hash = hash_image(program.image);
-  hash = fnv64(hash, entry);
-  hash = fnv64(hash, signature_base);
-  hash = hash_cpu_config(hash, config);
-}
-
-bool GradingSession::RunKey::operator==(const RunKey& other) const {
-  return hash == other.hash && base == other.base && entry == other.entry &&
-         signature_base == other.signature_base &&
-         cpu_config_equal(config, other.config) && words == other.words;
+  std::unique_lock<std::mutex> lock(mutex_);
+  return decoded_locked(lock, image);
 }
 
 const GoodRun& GradingSession::good_run(const TestProgram& program,
                                         const sim::CpuConfig& config) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  RunKey key(program, config);
-  GoodRunEntry* found = nullptr;
-  for (GoodRunEntry& e : goodrun_cache_) {
-    if (e.key == key) {
-      found = &e;
-      break;
-    }
-  }
-  if (found && options_.cache) {
-    ++stats_.goodrun_hits;
-    return found->run;
-  }
-  GoodRun run;
-  bool from_store = false;
-  if (auto payload = probe_store("goodrun", goodrun_key_bytes(program, config))) {
-    common::ByteReader r(*payload);
-    if (deserialize_good_run(r, run)) {
-      ++stats_.store_hits;
-      from_store = true;
-    } else {
-      ++stats_.store_invalid;
-      run = GoodRun{};
-    }
-  }
-  if (!from_store) {
-    ++stats_.goodrun_builds;
-    sim::Cpu cpu(config);
-    cpu.reset();
-    cpu.load(program.image, decoded_locked(program.image));
-    run.stats = cpu.run(program.entry);
-    for (unsigned s = 0; s < kSignatureSlots; ++s) {
-      run.signatures.push_back(cpu.read_word(program.signature_address(s)));
-    }
-    if (options_.store) {
-      write_store("goodrun", goodrun_key_bytes(program, config),
-                  serialize_good_run(run));
-    }
-  }
-  if (found) {
-    found->run = std::move(run);
-    return found->run;
-  }
-  goodrun_cache_.push_back({std::move(key), std::move(run)});
-  return goodrun_cache_.back().run;
+  std::unique_lock<std::mutex> lock(mutex_);
+  return *fetch<GoodRun>(
+      lock, {.kind = "goodrun",
+             .key = goodrun_key_bytes(program, config),
+             .build = [&] {
+               auto run = std::make_shared<GoodRun>();
+               sim::Cpu cpu(config);
+               cpu.reset();
+               cpu.load(program.image, decoded_locked(lock, program.image));
+               run->stats = cpu.run(program.entry);
+               for (unsigned s = 0; s < kSignatureSlots; ++s) {
+                 run->signatures.push_back(
+                     cpu.read_word(program.signature_address(s)));
+               }
+               return run;
+             },
+             .decode = deserialize_good_run,
+             .encode = serialize_good_run,
+             .builds = &SessionStats::goodrun_builds,
+             .hits = &SessionStats::goodrun_hits});
 }
 
 std::shared_ptr<const GoodPathTable> GradingSession::good_path(
     const TestProgram& program, const sim::CpuConfig& config, CutId target) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  RunKey key(program, config);
-  GoodPathEntry* found = nullptr;
-  for (GoodPathEntry& e : goodpath_cache_) {
-    if (e.target == target && e.key == key) {
-      found = &e;
-      break;
-    }
-  }
-  if (found && options_.cache) return found->table;
-  auto table = std::make_shared<const GoodPathTable>(
-      GoodPathTable::trace(*model_, program, config, target));
-  if (found) {
-    found->table = table;
-  } else {
-    goodpath_cache_.push_back({std::move(key), target, table});
-  }
-  return table;
+  std::unique_lock<std::mutex> lock(mutex_);
+  std::vector<std::uint8_t> key = goodrun_key_bytes(program, config);
+  common::ByteWriter w;
+  w.put_u32(static_cast<std::uint32_t>(target));
+  key.insert(key.end(), w.bytes().begin(), w.bytes().end());
+  return fetch<GoodPathTable>(
+      lock, {.kind = "goodpath", .key = std::move(key), .build = [&] {
+               return std::make_shared<GoodPathTable>(
+                   GoodPathTable::trace(*model_, program, config, target));
+             }});
 }
 
 const fault::PatternSet& GradingSession::patterns(
     CutId id, const std::string& tag,
     const std::function<fault::PatternSet(const netlist::Netlist&)>& build) {
+  std::unique_lock<std::mutex> lock(mutex_);
   const netlist::Netlist& nl = model_->component(id).netlist;
   const store::ArtifactKey key = patterns_key(nl, tag);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ArtifactSlot& slot = artifacts_[key];
-    if (slot.patterns && options_.cache) {
-      ++stats_.patterns_hits;
-      return *slot.patterns;
-    }
-    if (auto payload = probe_store(key)) {
-      common::ByteReader r(*payload);
-      if (auto ps = fault::PatternSet::deserialize(nl, r)) {
-        ++stats_.store_hits;
-        slot.patterns = std::move(ps);
-        return *slot.patterns;
-      }
-      ++stats_.store_invalid;
-    }
-  }
-  // The builder runs with the session unlocked so it can use the other
-  // accessors (ATPG builders typically fetch compiled()).
-  auto built = std::make_unique<fault::PatternSet>(build(nl));
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.patterns_builds;
-  ArtifactSlot& slot = artifacts_[key];
-  if (slot.patterns && options_.cache) {
-    // Lost a concurrent build race; keep the published object so references
-    // already handed out stay valid.
-    return *slot.patterns;
-  }
-  slot.patterns = std::move(built);
-  if (options_.store) {
-    common::ByteWriter w;
-    slot.patterns->serialize(w);
-    write_store(key, w.bytes());
-  }
-  return *slot.patterns;
+  return *fetch<fault::PatternSet>(
+      lock,
+      {.kind = key.kind,
+       .key = key.bytes(),
+       .build = [&] { return std::make_shared<fault::PatternSet>(build(nl)); },
+       .decode = [&](common::ByteReader& r)
+           -> std::shared_ptr<const fault::PatternSet> {
+         return fault::PatternSet::deserialize(nl, r);
+       },
+       .encode = serialize_into<fault::PatternSet>,
+       .builds = &SessionStats::patterns_builds,
+       .hits = &SessionStats::patterns_hits,
+       // ATPG builders typically fetch compiled().
+       .build_unlocked = true});
 }
 
 SessionStats GradingSession::stats() const {

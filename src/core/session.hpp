@@ -1,28 +1,33 @@
-// Grading sessions: per-model caches of fault-grading artifacts plus one
+// Grading sessions: one cache of fault-grading artifacts per model, plus one
 // persistent worker pool.
 //
-// Every fault grading of a component needs the same derived artifacts —
-// the collapsed fault universe, the compiled netlist, the observe set for
-// the requested observability mode, and the observe-cone reach prefilter.
-// Before this layer each evaluate_program / bench / CLI call rebuilt all of
-// them per call, and every simulate_*_parallel invocation spun up a fresh
-// ThreadPool. A GradingSession amortizes both: artifacts are built lazily
-// on first use and cached per (component, mode), and one pool lives for the
+// Every fault grading of a component needs the same derived artifacts: the
+// collapsed fault universe, the compiled netlist, the observe set for the
+// requested observability mode and the observe-cone reach prefilter. Every
+// injection campaign needs the program's predecoded image, its fault-free
+// run and the target CUT's good-path table. A GradingSession builds each
+// artifact lazily on first use and keeps it, and one pool lives for the
 // session's lifetime and schedules whole-CUT gradings as interleaved chunk
 // tasks (see fault::GradingPlan).
 //
-// Caching never changes results: artifacts are pure functions of the model
-// and the mode, so ProgramEvaluation output is bitwise-identical with the
-// cache on or off (enforced by tests/test_session.cpp).
+// All artifacts share one cache keyed by (kind, key bytes). The key bytes
+// are the ones the persistent store files the artifact under:
+// ArtifactKey::bytes() for component artifacts, the full program image plus
+// the run parameters for program artifacts. So memory and disk can never
+// disagree about an artifact's identity. Every accessor takes the same
+// fetch path: memory hit, else store probe, else build, then write back.
+// Observe sets, cones and good-path tables have no codec and stay in memory.
+//
+// Caching never changes results: artifacts are pure functions of their
+// keys, so ProgramEvaluation output is bitwise-identical with the cache on
+// or off (enforced by tests/test_session.cpp).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -196,81 +201,36 @@ class GradingSession {
   // does).
 
  private:
-  // One slot per canonical ArtifactKey; at most one member is non-null
-  // (which one is determined by the key's kind). A std::map keyed by the
-  // full ArtifactKey replaces the old per-kind parallel containers
-  // (component-indexed vector + per-slot options scan + mode arrays):
-  // node stability keeps handed-out references valid as the map grows, and
-  // the in-memory key is the exact struct the store serializes, so memory
-  // and disk can never disagree about an artifact's identity.
-  struct ArtifactSlot {
-    std::unique_ptr<fault::FaultUniverse> universe;
-    std::unique_ptr<netlist::CompiledNetlist> compiled;
-    std::unique_ptr<fault::ObserveSet> observe;
-    std::unique_ptr<std::vector<std::uint8_t>> cone;
-    std::unique_ptr<fault::PatternSet> patterns;
-  };
+  /// How to make one artifact: its cache key, its from-scratch build, the
+  /// optional store codec and the optional builds/hits counters. Defined in
+  /// session.cpp, next to fetch().
+  template <typename T>
+  struct Recipe;
 
-  // Program-level caches are content-addressed: a fast 64-bit hash narrows
-  // the scan, then the full key (image words + run parameters) is compared,
-  // so a hash collision can never alias two different programs.
-  struct DecodedEntry {
-    std::uint64_t hash = 0;
-    std::uint32_t base = 0;
-    std::vector<std::uint32_t> words;
-    std::shared_ptr<const isa::DecodedProgram> decoded;
-  };
-  /// Identity of one run of a program: image, entry, signature layout and
-  /// CPU configuration.
-  struct RunKey {
-    RunKey(const TestProgram& program, const sim::CpuConfig& config);
-    bool operator==(const RunKey& other) const;
-
-    std::uint64_t hash = 0;
-    std::uint32_t base = 0;
-    std::uint32_t entry = 0;
-    std::uint32_t signature_base = 0;
-    std::vector<std::uint32_t> words;
-    sim::CpuConfig config;
-  };
-  struct GoodRunEntry {
-    RunKey key;
-    GoodRun run;
-  };
-  struct GoodPathEntry {
-    RunKey key;
-    CutId target;
-    std::shared_ptr<const GoodPathTable> table;
-  };
+  // The one fetch path, called with `lock` held on mutex_: memory hit, else
+  // store probe, else build, then write back, counting each step. A recipe
+  // that builds unlocked releases `lock` around its build only.
+  template <typename T>
+  std::shared_ptr<const T> fetch(std::unique_lock<std::mutex>& lock,
+                                 const Recipe<T>& recipe);
 
   const netlist::CompiledNetlist& compiled_locked(
-      CutId id, const netlist::CompileOptions& opts);
-  const fault::ObserveSet& observe_locked(CutId id, ObserveMode mode);
+      std::unique_lock<std::mutex>& lock, CutId id,
+      const netlist::CompileOptions& opts);
+  const fault::ObserveSet& observe_locked(std::unique_lock<std::mutex>& lock,
+                                          CutId id, ObserveMode mode);
   std::shared_ptr<const isa::DecodedProgram> decoded_locked(
-      const isa::Program& image);
-
-  // Store plumbing (all called under mutex_). probe_store returns the
-  // payload bytes for a key, maintaining the load/miss counters; the caller
-  // reports the decode outcome via the hit/invalid counters.
-  std::optional<std::vector<std::uint8_t>> probe_store(
-      const store::ArtifactKey& key);
-  std::optional<std::vector<std::uint8_t>> probe_store(
-      const std::string& kind, const std::vector<std::uint8_t>& key_bytes);
-  void write_store(const store::ArtifactKey& key,
-                   const std::vector<std::uint8_t>& payload);
-  void write_store(const std::string& kind,
-                   const std::vector<std::uint8_t>& key_bytes,
-                   const std::vector<std::uint8_t>& payload);
+      std::unique_lock<std::mutex>& lock, const isa::Program& image);
 
   const ProcessorModel* model_;
   SessionOptions options_;
   mutable std::mutex mutex_;
-  // Canonical artifact cache; see ArtifactSlot. std::map for node stability.
-  std::map<store::ArtifactKey, ArtifactSlot> artifacts_;
-  // Deques: growth must not invalidate references handed out earlier.
-  std::deque<DecodedEntry> decoded_cache_;
-  std::deque<GoodRunEntry> goodrun_cache_;
-  std::vector<GoodPathEntry> goodpath_cache_;
+  // Every artifact, keyed by (kind, the key bytes the store files it
+  // under). Slots are replaced (cache off) but never erased; std::map keeps
+  // the slot a fetch holds in place while nested fetches insert.
+  std::map<std::pair<std::string, std::vector<std::uint8_t>>,
+           std::shared_ptr<const void>>
+      cache_;
   SessionStats stats_;
   fault::ThreadPool pool_;
 };

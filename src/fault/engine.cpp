@@ -75,6 +75,17 @@ bool default_netlist_opt() {
   return true;
 }
 
+unsigned resolve_lanes(unsigned requested, Engine engine) {
+  if (engine == Engine::kReference) return 1;
+  return (requested == 0 ? default_lanes() : requested) == 4 ? 4 : 1;
+}
+
+netlist::CompileOptions resolve_compile_options(int netlist_opt) {
+  const bool opt =
+      netlist_opt < 0 ? default_netlist_opt() : netlist_opt != 0;
+  return opt ? netlist::CompileOptions::all() : netlist::CompileOptions{};
+}
+
 EngineContext::EngineContext(Engine engine, const netlist::Netlist& nl,
                              std::vector<netlist::NetId> observe,
                              const netlist::CompiledNetlist* compiled,
@@ -83,16 +94,13 @@ EngineContext::EngineContext(Engine engine, const netlist::Netlist& nl,
     : engine_(engine),
       nl_(&nl),
       observe_(detail::resolve_observe(nl, observe)) {
-  if (lanes == 0) lanes = default_lanes();
-  lanes_ = engine_ != Engine::kReference && lanes == 4 ? 4 : 1;
+  lanes_ = resolve_lanes(lanes, engine_);
   nl.topo_order();  // warm the shared cache before workers touch it
   if (engine_ == Engine::kReference) return;
   if (compiled) {
     compiled_ = compiled;
   } else {
-    const bool opt = netlist_opt < 0 ? default_netlist_opt() : netlist_opt != 0;
-    const netlist::CompileOptions opts =
-        opt ? netlist::CompileOptions::all() : netlist::CompileOptions{};
+    const netlist::CompileOptions opts = resolve_compile_options(netlist_opt);
     if (store) {
       const store::ArtifactKey key = compiled_store_key(nl, opts, lanes_);
       if (auto payload = store->load(key)) {

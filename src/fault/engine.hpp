@@ -70,6 +70,15 @@ bool parse_lanes(const std::string& text, unsigned& out);
 /// requested explicitly: SBST_NETLIST_OPT=0 disables, else enabled.
 bool default_netlist_opt();
 
+/// Lane-block width a grading runs at: `requested` words (0 =
+/// default_lanes()), 4 when that is 4 and 1 otherwise. The reference engine
+/// always runs single-word.
+unsigned resolve_lanes(unsigned requested, Engine engine);
+
+/// Compile options for netlists a grading compiles: every optimization pass
+/// or none, per `netlist_opt` (1 = on, 0 = off, -1 = default_netlist_opt()).
+netlist::CompileOptions resolve_compile_options(int netlist_opt);
+
 /// Immutable per-run grading artifacts for one (engine, netlist, observe
 /// set) triple: the resolved observe set, the compiled program (for the
 /// event engine), and the observe-cone reach prefilter. Construction

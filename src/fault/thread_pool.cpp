@@ -1,16 +1,29 @@
 #include "fault/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <utility>
 
 namespace sbst::fault {
 
+bool parse_thread_count(std::string_view text, unsigned& out) {
+  unsigned v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v < 1 || v > kMaxThreads) {
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 unsigned resolve_thread_count(unsigned requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("SBST_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<unsigned>(v);
+  unsigned v = 0;
+  if (const char* env = std::getenv("SBST_THREADS");
+      env && parse_thread_count(env, v)) {
+    return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

@@ -17,14 +17,22 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace sbst::fault {
 
+/// Largest worker count a command line or SBST_THREADS may ask for.
+inline constexpr unsigned kMaxThreads = 256;
+
+/// Parses a worker count: the whole of `text` must be a decimal in
+/// [1, kMaxThreads]. Returns false (and leaves `out` untouched) otherwise.
+bool parse_thread_count(std::string_view text, unsigned& out);
+
 /// Resolves a requested worker count: a positive value is used as-is; 0 means
-/// "auto" — the SBST_THREADS environment variable if set to a positive
-/// integer, else std::thread::hardware_concurrency() (min 1).
+/// "auto" — the SBST_THREADS environment variable if parse_thread_count
+/// accepts it, else std::thread::hardware_concurrency() (min 1).
 unsigned resolve_thread_count(unsigned requested);
 
 class ThreadPool {

@@ -182,14 +182,9 @@ bool injectable_cut(CutId id) {
 // gradings will actually run. Stderr only: stdout is golden-diffed across
 // widths and engines.
 void print_engine_config(const fault::SimOptions& sim, std::FILE* err) {
-  const bool reference = sim.engine == fault::Engine::kReference;
-  const unsigned lanes =
-      reference ? 1
-                : (sim.lanes == 0 ? fault::default_lanes()
-                                  : (sim.lanes == 4 ? 4u : 1u));
-  const bool opt = !reference &&
-                   (sim.netlist_opt < 0 ? fault::default_netlist_opt()
-                                        : sim.netlist_opt != 0);
+  const unsigned lanes = fault::resolve_lanes(sim.lanes, sim.engine);
+  const bool opt = sim.engine != fault::Engine::kReference &&
+                   fault::resolve_compile_options(sim.netlist_opt).any();
   std::fprintf(err,
                "# config: engine %s, lanes %u (%u fault lanes/pass), "
                "netlist-opt %s\n",
@@ -452,9 +447,8 @@ const char* verb_token(Verb v) {
   return "invalid";
 }
 
-// One fully-validated request. kInvalid carries the exact response line the
-// serial loop has always produced for that malformation, so the error bytes
-// stay identical across loop implementations.
+// One fully-validated request. kInvalid carries the exact `err ...` response
+// line for that malformation.
 struct ParsedRequest {
   Verb verb = Verb::kInvalid;
   std::vector<CutId> cuts;  // campaign targets (defaulted when empty)
@@ -525,8 +519,8 @@ std::uint64_t response_hash(const std::string& body) {
   return common::fnv1a_bytes(body.data(), body.size());
 }
 
-// Everything one request needs, shared by the serial loop, the concurrent
-// loop, and the startup replay pass.
+// Everything one request needs, shared by the request loop and the startup
+// replay pass.
 struct ServerState {
   ServerState(GradingSession& session_, store::ArtifactStore* store_,
               const ServeOptions& options_, Journal* journal_)
@@ -786,57 +780,7 @@ void replay_journal_pass(ServerState& st, const JournalScan& scan,
 }
 
 // ---------------------------------------------------------------------------
-// Serial loop (--serve-threads 1, the default)
-// ---------------------------------------------------------------------------
-
-int run_serial_loop(ServerState& st, std::uint64_t next_seq, std::FILE* in,
-                    std::FILE* out, std::FILE* err) {
-  std::string line;
-  for (;;) {
-    const ReadStatus rs = read_request_line(in, line);
-    if (rs == ReadStatus::kEof) return 0;
-    if (rs == ReadStatus::kTooLong) {
-      std::fputs("err request-too-long\n", out);
-      std::fflush(out);
-      continue;
-    }
-    const std::vector<std::string> tokens = tokenize(line);
-    if (tokens.empty()) continue;
-    const ParsedRequest req = parse_request(tokens);
-    if (req.verb == Verb::kQuit) {
-      std::fputs("ok quit\n", out);
-      std::fflush(out);
-      return 0;
-    }
-    if (req.verb == Verb::kInvalid) {
-      std::fputs(req.error.c_str(), out);
-      std::fflush(out);
-      continue;
-    }
-    const bool journaled = st.journal != nullptr && work_verb(req.verb);
-    std::uint64_t seq = 0;
-    if (journaled) {
-      seq = next_seq++;
-      st.journal->append_begin(seq, line);
-    }
-    const RequestBudget budget =
-        work_verb(req.verb) ? budget_for(st, tokens[0]) : RequestBudget{};
-    const Response resp = run_request(st, req, budget);
-    std::fwrite(resp.body.data(), 1, resp.body.size(), out);
-    std::fflush(out);
-    if (!resp.err_text.empty()) {
-      std::fwrite(resp.err_text.data(), 1, resp.err_text.size(), err);
-      std::fflush(err);
-    }
-    if (journaled) {
-      st.journal->append_seal(seq, seal_status(resp), resp.body.size(),
-                              response_hash(resp.body));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent loop (--serve-threads N > 1)
+// Request loop: one reader, --serve-threads workers, one ordered emitter
 // ---------------------------------------------------------------------------
 
 // One admitted request in the in-order emission window. Requests answered
@@ -855,8 +799,8 @@ struct PendingRequest {
   Response resp;
 };
 
-int run_concurrent_loop(ServerState& st, std::uint64_t next_seq,
-                        std::FILE* in, std::FILE* out, std::FILE* err) {
+int run_request_loop(ServerState& st, std::uint64_t next_seq, std::FILE* in,
+                     std::FILE* out, std::FILE* err) {
   std::mutex mu;
   std::condition_variable work_cv;  // workers: something may be claimable
   std::condition_variable emit_cv;  // emitter: front done, or input ended
@@ -865,21 +809,20 @@ int run_concurrent_loop(ServerState& st, std::uint64_t next_seq,
   bool shutdown = false;
 
   // The first request a worker may legally claim, scanning the window in
-  // admission order (mu held). A `stats` barrier claims only once every
-  // earlier request is done, and nothing admitted after it starts while it
-  // is pending or running — its counters must reflect exactly the requests
-  // before it, or repeated scripts would render different bytes.
+  // admission order (mu held). A `stats` barrier claims only at the front
+  // of the window, once every earlier request is emitted and sealed, and
+  // nothing admitted after it starts while it is pending or running — its
+  // counters must reflect exactly the requests before it, or repeated
+  // scripts would render different bytes.
   const auto claimable = [&window]() -> PendingRequest* {
-    bool prefix_done = true;
     for (const auto& p : window) {
       if (p->done) continue;
       if (p->claimed) {
         if (p->barrier) return nullptr;  // stats running: nothing overlaps
-        prefix_done = false;
         continue;
       }
       if (!p->exec) return nullptr;  // defensive: pre-done requests only
-      if (p->barrier && !prefix_done) return nullptr;
+      if (p->barrier && p != window.front()) return nullptr;
       return p.get();
     }
     return nullptr;
@@ -913,7 +856,7 @@ int run_concurrent_loop(ServerState& st, std::uint64_t next_seq,
   // The emitter is the only thread that writes the response stream, and it
   // writes strictly in admission order — that is the whole determinism
   // argument: any interleaving of worker completions produces the same
-  // bytes the serial loop would.
+  // bytes as answering the requests one at a time.
   const auto emitter_fn = [&]() {
     for (;;) {
       std::shared_ptr<PendingRequest> p;
@@ -925,7 +868,6 @@ int run_concurrent_loop(ServerState& st, std::uint64_t next_seq,
         });
         if (window.empty()) return;
         p = window.front();
-        window.pop_front();
       }
       std::fwrite(p->resp.body.data(), 1, p->resp.body.size(), out);
       std::fflush(out);
@@ -941,12 +883,17 @@ int run_concurrent_loop(ServerState& st, std::uint64_t next_seq,
                                 p->resp.body.size(),
                                 response_hash(p->resp.body));
       }
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        window.pop_front();
+      }
+      work_cv.notify_all();  // a stats barrier may now be at the front
     }
   };
 
   std::thread emitter(emitter_fn);
   std::vector<std::thread> workers;
-  const unsigned n = st.options.serve_threads;
+  const unsigned n = std::max(1u, st.options.serve_threads);
   workers.reserve(n);
   for (unsigned k = 0; k < n; ++k) workers.emplace_back(worker_fn);
 
@@ -1109,19 +1056,15 @@ int run_serve(const ProcessorModel& model, const ServeOptions& options,
                  journal->path().c_str(),
                  static_cast<unsigned long long>(next_seq));
   }
-  if (options.serve_threads > 1) {
-    std::fprintf(err, "# serve: %u workers, queue depth %zu\n",
-                 options.serve_threads, options.queue_depth);
-  }
+  std::fprintf(err, "# serve: %u workers, queue depth %zu\n",
+               std::max(1u, options.serve_threads), options.queue_depth);
   std::fflush(err);
 
   if (options.replay_journal && journal) {
     replay_journal_pass(st, scan, out, err);
   }
 
-  return options.serve_threads > 1
-             ? run_concurrent_loop(st, next_seq, in, out, err)
-             : run_serial_loop(st, next_seq, in, out, err);
+  return run_request_loop(st, next_seq, in, out, err);
 }
 
 }  // namespace sbst::serve

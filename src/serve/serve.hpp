@@ -27,17 +27,19 @@
 // count / store temperature.
 // Robustness layer (the hardened daemon):
 //
-//  * Concurrent request handling (`--serve-threads N`): N workers drain a
-//    bounded admission queue; each response is rendered into a per-request
-//    buffer and emitted strictly in admission order, so the byte stream is
-//    identical to the serial loop for any worker count.
+//  * One request loop (`--serve-threads N`, default 1): a reader admits
+//    requests ahead of N workers into a bounded admission queue; each
+//    response is rendered into a per-request buffer and emitted strictly in
+//    admission order, so a client that waits for each response sees the
+//    same byte stream for any worker count.
 //  * Overload shedding: when the admission queue is full, new work requests
 //    are answered immediately with `err overloaded retry-after=<ms>`
-//    instead of growing an unbounded backlog.
+//    instead of growing an unbounded backlog, at one worker too.
 //  * Per-request deadlines (`--request-deadline`): a RequestBudget turns a
 //    runaway request into a structured `err timeout deadline=<ms>ms`
-//    response — checked before execution (queue wait counts against the
-//    budget) and cooperatively between campaign gradings.
+//    response. The budget starts at admission, is checked before execution
+//    (queue wait counts against it) and cooperatively between campaign
+//    gradings.
 //  * Write-ahead journal (`--journal FILE`, see journal.hpp): work requests
 //    are journaled before execution and sealed after their response is
 //    flushed; `--replay-journal` re-runs unsealed requests after a crash
@@ -82,14 +84,14 @@ struct ServeOptions {
   /// as {kStuckAt}.
   std::vector<fault::FaultModel> fault_models = {fault::FaultModel::kStuckAt};
 
-  /// Request workers for `serve` (--serve-threads). 1 = the classic serial
-  /// read→execute→respond loop. N > 1 runs a reader + N workers + an
-  /// ordered emitter; response bytes stay identical to the serial loop.
+  /// Request workers for `serve` (--serve-threads; 0 runs as 1). A reader
+  /// thread admits requests ahead of the workers and an emitter writes the
+  /// responses in admission order, so response bytes are the same for
+  /// every worker count.
   unsigned serve_threads = 1;
   /// Bounded admission queue (--serve-queue): work requests waiting for a
-  /// worker beyond this depth shed with `err overloaded retry-after=<ms>`.
-  /// Only the concurrent loop sheds — the serial loop reads one request at
-  /// a time, which is its own bound.
+  /// worker beyond this depth shed with `err overloaded retry-after=<ms>`,
+  /// at any worker count.
   std::size_t queue_depth = 16;
   /// Per-request wall-clock deadline in milliseconds (--request-deadline).
   /// 0 = unlimited (the default); a positive value applies to every work

@@ -47,12 +47,12 @@ namespace sbst::store {
 ///   cone:      kind, cut, mode, content            (in-memory only)
 ///   patterns:  kind, version, content, tag
 ///
-/// Ordered (default <=>) for use as a std::map key in core::GradingSession;
-/// bytes() serializes the whole struct for use as the on-disk store key.
-/// Program-scoped artifacts (decoded programs, good runs) use bespoke key
-/// bytes carrying the full program image instead — their "content" would
-/// otherwise be only a hash, and the store's exact-key-comparison guarantee
-/// must cover the real key material.
+/// bytes() serializes the whole struct; the store files the artifact under
+/// those bytes and core::GradingSession's memory cache keys it by them too.
+/// Program-scoped artifacts (decoded programs, good runs, good paths) do not
+/// use this struct: their key bytes carry the full program image and run
+/// parameters, because a "content" hash would let two programs collide.
+/// Those bytes are likewise both their store key and their memory key.
 struct ArtifactKey {
   std::string kind;           // "universe", "compiled", "patterns", ...
   std::uint32_t version = 0;  // the artifact codec's kSerialVersion
@@ -63,9 +63,7 @@ struct ArtifactKey {
   std::uint64_t content = 0;  // content hash of the underlying model
   std::string tag;            // free-form qualifier (e.g. pattern-set name)
 
-  friend auto operator<=>(const ArtifactKey&, const ArtifactKey&) = default;
-
-  /// Serialized key material for the on-disk store.
+  /// Serialized key material: the store key and the session's memory key.
   std::vector<std::uint8_t> bytes() const;
 };
 

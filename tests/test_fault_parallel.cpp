@@ -3,9 +3,13 @@
 // the pattern/lane machinery and the CoverageResult invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -650,6 +654,46 @@ TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
 TEST(ThreadPool, ResolveThreadCountPrefersExplicit) {
   EXPECT_EQ(resolve_thread_count(3), 3u);
   EXPECT_GE(resolve_thread_count(0), 1u);
+}
+
+TEST(ThreadPool, ParseThreadCountAcceptsOnlyWholeDecimalsInRange) {
+  const std::string too_many = std::to_string(kMaxThreads + 1);
+  unsigned n = 7;
+  EXPECT_TRUE(parse_thread_count("4", n));
+  EXPECT_EQ(n, 4u);
+  EXPECT_TRUE(parse_thread_count(std::to_string(kMaxThreads), n));
+  EXPECT_EQ(n, kMaxThreads);
+  for (const std::string& bad :
+       {std::string("4x"), std::string(""), std::string("0"),
+        std::string("-1"), std::string(" 4"), std::string("+4"), too_many,
+        std::string("99999999999")}) {
+    n = 7;
+    EXPECT_FALSE(parse_thread_count(bad, n)) << '"' << bad << '"';
+    EXPECT_EQ(n, 7u) << '"' << bad << '"';
+  }
+}
+
+TEST(ThreadPool, ResolveThreadCountFallsBackOnBadEnvironment) {
+  // Resolving a count starts no threads, so even a huge request is safe
+  // to check here.
+  const char* saved = std::getenv("SBST_THREADS");
+  const std::string restore = saved ? saved : "";
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  setenv("SBST_THREADS", "4", 1);
+  EXPECT_EQ(resolve_thread_count(0), 4u);
+  EXPECT_EQ(resolve_thread_count(2), 2u);  // an explicit count wins
+  for (const std::string& bad :
+       {std::string("4x"), std::string(""), std::string("0"),
+        std::string("-1"), std::to_string(kMaxThreads + 1),
+        std::string("99999999999")}) {
+    setenv("SBST_THREADS", bad.c_str(), 1);
+    EXPECT_EQ(resolve_thread_count(0), hw) << '"' << bad << '"';
+  }
+  if (saved) {
+    setenv("SBST_THREADS", restore.c_str(), 1);
+  } else {
+    unsetenv("SBST_THREADS");
+  }
 }
 
 TEST(ThreadPool, ThrowingTaskIsCapturedAndBatchCompletes) {

@@ -175,18 +175,17 @@ TEST(Serve, StatsReflectWorkAndStoreUsage) {
   EXPECT_NE(seg[1].find("store: none"), std::string::npos);
 }
 
-// ---- concurrent loop ------------------------------------------------------
+// ---- worker counts and shedding --------------------------------------------
 
 TEST(Serve, ConcurrentLoopRendersIdenticalBytesToSerial) {
-  // A mixed script — work verbs, probes, errors — through the serial loop
-  // and through 2- and 4-worker concurrent loops. The ordered emitter must
-  // make the response streams byte-identical, including the stats barrier
-  // (whose counters depend on every earlier request having finished).
+  // A mixed script — work verbs, probes, errors — through the request loop
+  // at one worker and at 2 and 4 workers. The ordered emitter must make the
+  // response streams byte-identical, including the stats barrier (whose
+  // counters depend on every earlier request having finished).
   const std::string script =
       "ping\ncampaign alu\nbogus\ncampaign alu shifter\nstats\n"
       "campaign mul\nping\nstats\nquit\n";
-  ServeOptions serial = fast_options();
-  const ServeResult base = run_script(script, serial);
+  const ServeResult base = run_script(script, fast_options());
   EXPECT_EQ(base.status, 0);
   for (const unsigned threads : {2u, 4u}) {
     ServeOptions options = fast_options();
@@ -215,32 +214,35 @@ TEST(Serve, ConcurrentLoopHandlesErrorsAndQuit) {
 }
 
 TEST(Serve, ConcurrentLoopShedsWhenQueueIsFull) {
-  ServeOptions options = fast_options();
-  options.serve_threads = 2;
-  options.queue_depth = 1;
-  std::string script;
-  const std::size_t kRequests = 8;
-  for (std::size_t k = 0; k < kRequests; ++k) script += "campaign alu\n";
-  script += "quit\n";
-  const ServeResult r = run_script(script, options);
-  EXPECT_EQ(r.status, 0);
-  const std::vector<std::string> seg = split_responses(r.out);
-  ASSERT_EQ(seg.size(), kRequests + 1);
-  std::size_t ok = 0, shed = 0;
-  for (std::size_t k = 0; k < kRequests; ++k) {
-    if (seg[k].find("ok campaign") != std::string::npos) {
-      ++ok;
-    } else {
-      EXPECT_EQ(seg[k].rfind("err overloaded retry-after=", 0), 0u)
-          << seg[k];
-      ++shed;
+  // One worker sheds too: the reader admits requests ahead of it.
+  for (const unsigned threads : {1u, 2u}) {
+    ServeOptions options = fast_options();
+    options.serve_threads = threads;
+    options.queue_depth = 1;
+    std::string script;
+    const std::size_t kRequests = 8;
+    for (std::size_t k = 0; k < kRequests; ++k) script += "campaign alu\n";
+    script += "quit\n";
+    const ServeResult r = run_script(script, options);
+    EXPECT_EQ(r.status, 0);
+    const std::vector<std::string> seg = split_responses(r.out);
+    ASSERT_EQ(seg.size(), kRequests + 1) << "threads=" << threads;
+    std::size_t ok = 0, shed = 0;
+    for (std::size_t k = 0; k < kRequests; ++k) {
+      if (seg[k].find("ok campaign") != std::string::npos) {
+        ++ok;
+      } else {
+        EXPECT_EQ(seg[k].rfind("err overloaded retry-after=", 0), 0u)
+            << seg[k];
+        ++shed;
+      }
     }
+    // The first request always admits; the reader outpaces sub-second
+    // campaigns so at least one later request must find the queue full.
+    EXPECT_GE(ok, 1u) << "threads=" << threads;
+    EXPECT_GE(shed, 1u) << "threads=" << threads;
+    EXPECT_EQ(seg[kRequests], "ok quit\n");
   }
-  // The first request always admits; the reader outpaces sub-second
-  // campaigns so at least one later request must find the queue full.
-  EXPECT_GE(ok, 1u);
-  EXPECT_GE(shed, 1u);
-  EXPECT_EQ(seg[kRequests], "ok quit\n");
 }
 
 // ---- deadlines ------------------------------------------------------------

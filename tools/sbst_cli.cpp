@@ -19,8 +19,9 @@
 // <cut> is one of: mul div rf mem shifter alu ctrl
 //
 // Global options:
-//   --threads N / -j N   fault-simulation worker threads (also SBST_THREADS
-//                        env var; default: hardware concurrency)
+//   --threads N / -j N   fault-simulation worker threads, 1..256 (also
+//                        SBST_THREADS env var; default: hardware
+//                        concurrency)
 //   --no-lane-parallel   disable PPSFP lane packing of faults
 //   --engine NAME        evaluation engine: reference | event
 //                        (also SBST_ENGINE env var; default: event)
@@ -58,13 +59,13 @@
 //                        (default 0 = unlimited)
 //
 // Serve options (the hardened daemon):
-//   --serve-threads N    request workers for `serve` (default 1 = the
-//                        serial loop; N > 1 handles requests concurrently
-//                        with responses emitted in admission order, so the
-//                        byte stream is identical for every N)
+//   --serve-threads N    request workers for `serve`, 1..256 (default 1);
+//                        a reader thread admits requests ahead of them and
+//                        responses are emitted in admission order, so the
+//                        byte stream is identical for every N
 //   --serve-queue N      bounded admission queue depth; excess work
 //                        requests shed with `err overloaded retry-after=MS`
-//                        (default 16; concurrent loop only)
+//                        (default 16)
 //   --request-deadline MS|auto
 //                        per-request wall-clock deadline; exceeded requests
 //                        answer `err timeout deadline=MSms`. "auto" derives
@@ -75,6 +76,7 @@
 //                        response is flushed
 //   --replay-journal     on startup, re-run unsealed journal entries (crash
 //                        recovery) and verify sealed ones, then serve
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -88,6 +90,7 @@
 #include "conform/gen.hpp"
 #include "conform/runner.hpp"
 #include "core/evaluate.hpp"
+#include "fault/thread_pool.hpp"
 #include "isa/disasm.hpp"
 #include "netlist/export.hpp"
 #include "serve/serve.hpp"
@@ -120,7 +123,7 @@ int usage() {
       "  conform run DIR               replay a corpus through all three\n"
       "                                executors, diff bitwise\n"
       "cuts: mul div rf mem shifter alu ctrl\n"
-      "options: --threads N | -j N   fault-sim worker threads (env "
+      "options: --threads N | -j N   fault-sim worker threads, 1..256 (env "
       "SBST_THREADS;\n"
       "                              default: hardware concurrency)\n"
       "         --no-lane-parallel   disable PPSFP lane packing of faults\n"
@@ -162,7 +165,7 @@ int usage() {
       "store\n"
       "                              (default 0 = unlimited)\n"
       "serve options:\n"
-      "         --serve-threads N    request workers (default 1 = serial; "
+      "         --serve-threads N    request workers, 1..256 (default 1; "
       "any N\n"
       "                              emits identical response bytes)\n"
       "         --serve-queue N      admission queue depth before shedding\n"
@@ -176,6 +179,16 @@ int usage() {
       "serve\n",
       stderr);
   return 2;
+}
+
+// Parses the whole of `text` as a decimal no smaller than `min`.
+bool parse_size(const char* text, std::size_t min, std::size_t& out) {
+  std::size_t v = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || v < min) return false;
+  out = v;
+  return true;
 }
 
 bool parse_cut(const char* arg, CutId& out) {
@@ -355,10 +368,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--threads") == 0 || std::strcmp(a, "-j") == 0) {
-      if (i + 1 >= argc) return usage();
-      const long v = std::strtol(argv[++i], nullptr, 10);
-      if (v <= 0) return usage();
-      options.sim.num_threads = static_cast<unsigned>(v);
+      if (i + 1 >= argc ||
+          !fault::parse_thread_count(argv[++i], options.sim.num_threads)) {
+        return usage();
+      }
     } else if (std::strcmp(a, "--no-lane-parallel") == 0) {
       options.sim.lane_parallel = false;
     } else if (std::strcmp(a, "--session-cache") == 0) {
@@ -373,20 +386,18 @@ int main(int argc, char** argv) {
       options.budget_factor = std::strtod(argv[++i], &end);
       if (end == argv[i] || *end != '\0') return usage();
     } else if (std::strcmp(a, "--max-faults") == 0) {
-      if (i + 1 >= argc) return usage();
-      const long v = std::strtol(argv[++i], nullptr, 10);
-      if (v < 0) return usage();
-      options.max_faults = static_cast<std::size_t>(v);
+      if (i + 1 >= argc || !parse_size(argv[++i], 0, options.max_faults)) {
+        return usage();
+      }
     } else if (std::strcmp(a, "--serve-threads") == 0) {
-      if (i + 1 >= argc) return usage();
-      const long v = std::strtol(argv[++i], nullptr, 10);
-      if (v <= 0) return usage();
-      options.serve_threads = static_cast<unsigned>(v);
+      if (i + 1 >= argc ||
+          !fault::parse_thread_count(argv[++i], options.serve_threads)) {
+        return usage();
+      }
     } else if (std::strcmp(a, "--serve-queue") == 0) {
-      if (i + 1 >= argc) return usage();
-      const long v = std::strtol(argv[++i], nullptr, 10);
-      if (v <= 0) return usage();
-      options.queue_depth = static_cast<std::size_t>(v);
+      if (i + 1 >= argc || !parse_size(argv[++i], 1, options.queue_depth)) {
+        return usage();
+      }
     } else if (std::strcmp(a, "--request-deadline") == 0) {
       if (i + 1 >= argc) return usage();
       const char* value = argv[++i];
