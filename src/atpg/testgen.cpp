@@ -47,7 +47,7 @@ TestGenResult generate_atpg_tests(const Netlist& nl,
   // One engine context for every fault-dropping pass: compilation and cone
   // marking happen once (or are borrowed from a session), and already-set
   // flags short-circuit re-simulation of retired faults.
-  const fault::EngineContext ctx(options.engine, nl, observe,
+  const fault::EngineContext ctx(fault::Engine::kEvent, nl, observe,
                                  options.compiled, /*reach=*/nullptr,
                                  /*lanes=*/0, /*netlist_opt=*/-1,
                                  options.store);

@@ -38,9 +38,6 @@ struct TestGenOptions {
   /// pre-drop of the easy faults). 0 disables.
   unsigned random_warmup = 64;
   std::uint64_t seed = 1;
-  /// Evaluation engine for the fault-dropping passes (detection flags — and
-  /// therefore the generated test set — are identical for every choice).
-  fault::Engine engine = fault::default_engine();
   /// Pre-compiled netlist lent in by a long-lived caller (GradingSession);
   /// must match the netlist under test. nullptr = compile per call.
   const netlist::CompiledNetlist* compiled = nullptr;

@@ -187,16 +187,6 @@ double ProgramEvaluation::overall_fc() const {
                           static_cast<double>(total);
 }
 
-OutcomeHistogram ProgramEvaluation::outcome_totals() const {
-  OutcomeHistogram h;
-  for (const CutCoverage& c : cuts) {
-    for (std::size_t k = 0; k < kRunOutcomeCount; ++k) {
-      h.counts[k] += c.outcomes.counts[k];
-    }
-  }
-  return h;
-}
-
 double ProgramEvaluation::missing_fc(CutId id) const {
   std::size_t total = 0;
   for (const CutCoverage& c : cuts) total += c.coverage.total;
@@ -346,29 +336,6 @@ ProgramEvaluation evaluate_program(GradingSession& session,
   }
   runs.run(session.pool());
   out.stages.standalone = seconds_since(t_standalone);
-
-  // ---- optional outcome classification ------------------------------------
-  // A sampled end-to-end injection campaign per injectable CUT: each fault
-  // gets a guarded whole-program faulty run and a RunOutcome, splitting the
-  // CUT's detections into signature vs symptom the way an on-line monitor
-  // would see them.
-  if (options.classify_outcomes) {
-    for (CutCoverage& cc : out.cuts) {
-      if (cc.id != CutId::kAlu && cc.id != CutId::kShifter &&
-          cc.id != CutId::kMultiplier) {
-        continue;
-      }
-      const std::vector<fault::Fault>& all =
-          session.universe(cc.id, cc.model).collapsed();
-      std::vector<fault::Fault> sample = all;
-      if (options.outcome_sample != 0 &&
-          sample.size() > options.outcome_sample) {
-        sample.resize(options.outcome_sample);
-      }
-      cc.outcomes = histogram_of(run_injection_campaign(
-          session, program, cc.id, sample, options.cpu, options.inject));
-    }
-  }
   return out;
 }
 

@@ -20,7 +20,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/inject.hpp"
 #include "core/program.hpp"
 #include "core/session.hpp"
 #include "fault/fault.hpp"
@@ -139,17 +138,6 @@ struct EvalOptions {
   /// fast).
   std::size_t regfile_cycle_cap = 40000;
   std::size_t pipeline_cycle_cap = 4096;
-  /// Classify a sample of each injectable CUT's collapsed faults (ALU,
-  /// shifter, multiplier) through full guarded faulty-machine runs, filling
-  /// CutCoverage::outcomes with the signature-vs-symptom detection split.
-  /// Off by default: each sampled fault costs one whole-program run.
-  bool classify_outcomes = false;
-  /// Collapsed-fault sample size per CUT for classify_outcomes (prefix of
-  /// the collapsed universe; 0 = every collapsed fault).
-  std::size_t outcome_sample = 32;
-  /// Hardened-runtime knobs (watchdog budgets, store guard, retry) for the
-  /// classify_outcomes campaigns.
-  InjectOptions inject{};
   /// Fault models to grade each component under: one CutCoverage row per
   /// (component, model) pair, every model graded against the SAME captured
   /// trace. The default — stuck-at only — reproduces the legacy single-model
@@ -170,9 +158,6 @@ struct CutCoverage {
   std::size_t collapsed_faults = 0;
   std::size_t uncollapsed_faults = 0;
   std::size_t stimulus_size = 0;  // patterns or cycles
-  /// Outcome classes of the sampled injection campaign (empty unless
-  /// EvalOptions::classify_outcomes and the CUT is injectable).
-  OutcomeHistogram outcomes;
 };
 
 struct RoutineStats {
@@ -207,9 +192,6 @@ struct ProgramEvaluation {
   /// Contribution of a CUT's undetected faults to the missing overall
   /// coverage (the paper's "Miss. FC" column).
   double missing_fc(CutId id) const;
-  /// Summed outcome histogram over every CUT's sampled injection campaign
-  /// (all-zero unless EvalOptions::classify_outcomes).
-  OutcomeHistogram outcome_totals() const;
 };
 
 /// Full evaluation through a GradingSession: runs the combined program with

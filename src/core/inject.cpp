@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -53,10 +54,14 @@ OutcomeHistogram histogram_of(const std::vector<InjectionOutcome>& outcomes) {
 sim::RunBudget run_budget_for(const sim::ExecStats& good_stats, double factor,
                               const InjectOptions& options) {
   sim::RunBudget budget;  // defaults = legacy global cap, no cycle/store cap
-  if (factor <= 0.0) return budget;
+  if (!(factor > 0.0)) return budget;  // also NaN
   const auto scaled = [factor](std::uint64_t v, std::uint64_t floor_v) {
+    // Casting a double at or past 2^64 to uint64_t is undefined: saturate.
     const double s = std::ceil(static_cast<double>(v) * factor);
-    return std::max(static_cast<std::uint64_t>(s), floor_v);
+    const std::uint64_t n =
+        s < 0x1p64 ? static_cast<std::uint64_t>(s)
+                   : std::numeric_limits<std::uint64_t>::max();
+    return std::max(n, floor_v);
   };
   budget.max_instructions =
       scaled(good_stats.instructions, options.min_instructions);
@@ -221,8 +226,7 @@ GateLevelFaultInjector::GateLevelFaultInjector(
       diff_(good_path.size()),
       swept_(good_path.tuples().block_count()) {
   init(fault);
-  comp_eval_ = std::make_unique<netlist::CompiledEvaluator>(
-      compiled, /*event_driven=*/false);
+  comp_eval_ = std::make_unique<netlist::CompiledEvaluator>(compiled);
 }
 
 template <class Eval>
@@ -277,6 +281,7 @@ std::uint64_t GateLevelFaultInjector::good_path_result(std::size_t i) {
     // One forced sweep answers the block's 64 tuples: the CUT is
     // combinational and the force sits in every lane, so lane k computes
     // exactly what a single-tuple evaluation of tuple k would.
+    comp_eval_->request_full_eval();
     arm(*comp_eval_);
     const std::vector<std::uint64_t>& words =
         good_path_->tuples().block(block);
@@ -306,6 +311,9 @@ std::uint64_t GateLevelFaultInjector::faulty_result(std::uint32_t op,
   }
   if (const std::uint64_t* hit = results_.find(op, a, b)) return *hit;
   const auto evaluate = [&](auto& ev) {
+    // The whole stimulus changes between two evaluations: sweep, and ask
+    // for it before driving the inputs so they queue no events.
+    ev.request_full_eval();
     arm(ev);
     drive_and_eval(ev, op, a, b);
     return ev.bus_value(*port_out_);
@@ -505,7 +513,7 @@ std::vector<InjectionOutcome> run_injection_campaign(
       plan.run_capture(session.pool());
   for (const fault::ThreadPool::TaskFailure& f : failures) {
     out[f.task] = infra_outcome(good.signatures);
-    for (unsigned attempt = 0; attempt < inject.infra_retries; ++attempt) {
+    for (unsigned attempt = 0; attempt < kInfraRetries; ++attempt) {
       try {
         run_one(f.task);
         break;
@@ -537,7 +545,7 @@ std::vector<InjectionOutcome> run_injection_campaign(
                             decoded, budget, guard_p);
     };
     InjectionOutcome one = infra_outcome(good.signatures);
-    for (unsigned attempt = 0; attempt <= inject.infra_retries; ++attempt) {
+    for (unsigned attempt = 0; attempt <= kInfraRetries; ++attempt) {
       try {
         one = run_one();
         break;

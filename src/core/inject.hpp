@@ -105,11 +105,12 @@ struct InjectOptions {
   /// signature area). Off = wild stores land in simulated memory and
   /// classify as hang/trap/mismatch, like the legacy behaviour.
   bool store_guard = true;
-  /// Campaign-level serial retries for a fault whose task threw
-  /// (kInfraError). Retries are deterministic: they re-run the same fault
-  /// with the same inputs, so a deterministic failure stays kInfraError.
-  unsigned infra_retries = 1;
 };
+
+/// Campaign-level serial retries for a fault whose task threw
+/// (kInfraError). Retries are deterministic: they re-run the same fault with
+/// the same inputs, so a deterministic failure stays kInfraError.
+inline constexpr unsigned kInfraRetries = 1;
 
 /// Maps a guarded run's stop verdict onto the outcome taxonomy — the single
 /// classification rule shared by the injection campaign and the conformance
@@ -120,7 +121,8 @@ RunOutcome classify_stop(sim::StopReason stop, bool signatures_match);
 
 /// Derives the per-run watchdog budget from the good machine's measured
 /// resources: factor × good stats, clamped below by the InjectOptions
-/// floors. factor <= 0 returns the legacy unlimited budget.
+/// floors and saturating at the uint64_t maximum. factor <= 0 or NaN
+/// returns the legacy unlimited budget.
 sim::RunBudget run_budget_for(const sim::ExecStats& good_stats, double factor,
                               const InjectOptions& options = {});
 
@@ -376,7 +378,7 @@ InjectionOutcome run_with_injection(GradingSession& session,
 /// the session pool. Outcomes are returned in fault order and are
 /// bitwise-identical to calling run_with_injection per fault, for any
 /// thread count. A fault whose task throws is retried serially
-/// (InjectOptions::infra_retries) and, if it keeps failing, marked
+/// (kInfraRetries times) and, if it keeps failing, marked
 /// kInfraError — the rest of the campaign always completes.
 std::vector<InjectionOutcome> run_injection_campaign(
     GradingSession& session, const struct TestProgram& program, CutId target,

@@ -66,14 +66,14 @@ struct SessionOptions {
   /// Cache artifacts across gradings. Off rebuilds each artifact on every
   /// request — same results, only slower (the differential-testing knob).
   bool cache = true;
-  /// Lane-block width in words for the event engine (0 =
-  /// fault::default_lanes()). Part of the grading configuration handed to
+  /// Lane-block width in words for the event engine (0 = 4, see
+  /// fault::resolve_lanes). Part of the grading configuration handed to
   /// every simulation this session drives; detection results are identical
   /// for every width.
   unsigned lanes = 0;
   /// Netlist-compile optimization passes for compiled netlists built by this
-  /// session: 1 = on, 0 = off, -1 = fault::default_netlist_opt(). Keyed into
-  /// the compiled-netlist cache, so sessions with different settings never
+  /// session: 0 = off, 1 and -1 (the default) = on. Keyed into the
+  /// compiled-netlist cache, so sessions with different settings never
   /// alias.
   int netlist_opt = -1;
   /// Default watchdog budget factor for injection campaigns run through

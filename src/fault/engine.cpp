@@ -1,7 +1,5 @@
 #include "fault/engine.hpp"
 
-#include <cstdlib>
-
 #include "common/serialize.hpp"
 #include "fault/sim_detail.hpp"
 #include "store/artifact_store.hpp"
@@ -30,60 +28,14 @@ const char* engine_name(Engine engine) {
   return "?";
 }
 
-bool parse_engine(const std::string& name, Engine& out) {
-  if (name == "reference") {
-    out = Engine::kReference;
-  } else if (name == "event") {
-    out = Engine::kEvent;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-Engine default_engine() {
-  if (const char* env = std::getenv("SBST_ENGINE")) {
-    Engine e;
-    if (parse_engine(env, e)) return e;
-  }
-  return Engine::kEvent;
-}
-
-bool parse_lanes(const std::string& text, unsigned& out) {
-  if (text == "1") {
-    out = 1;
-  } else if (text == "4") {
-    out = 4;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-unsigned default_lanes() {
-  if (const char* env = std::getenv("SBST_LANES")) {
-    unsigned lanes;
-    if (parse_lanes(env, lanes)) return lanes;
-  }
-  return 4;
-}
-
-bool default_netlist_opt() {
-  if (const char* env = std::getenv("SBST_NETLIST_OPT")) {
-    return std::string(env) != "0";
-  }
-  return true;
-}
-
 unsigned resolve_lanes(unsigned requested, Engine engine) {
   if (engine == Engine::kReference) return 1;
-  return (requested == 0 ? default_lanes() : requested) == 4 ? 4 : 1;
+  return requested == 0 || requested == 4 ? 4 : 1;
 }
 
 netlist::CompileOptions resolve_compile_options(int netlist_opt) {
-  const bool opt =
-      netlist_opt < 0 ? default_netlist_opt() : netlist_opt != 0;
-  return opt ? netlist::CompileOptions::all() : netlist::CompileOptions{};
+  return netlist_opt != 0 ? netlist::CompileOptions::all()
+                          : netlist::CompileOptions{};
 }
 
 EngineContext::EngineContext(Engine engine, const netlist::Netlist& nl,

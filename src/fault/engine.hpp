@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "netlist/compiled.hpp"
@@ -48,35 +47,15 @@ enum class Engine : std::uint8_t {
 /// "reference" or "event".
 const char* engine_name(Engine engine);
 
-/// Parses an engine name; returns false (and leaves `out` untouched) on an
-/// unknown name.
-bool parse_engine(const std::string& name, Engine& out);
-
-/// Engine used when none is requested explicitly: the SBST_ENGINE
-/// environment variable if it names one, else kEvent.
-Engine default_engine();
-
-/// Lane-block width in 64-bit words when none is requested explicitly: the
-/// SBST_LANES environment variable if it parses to a supported width
-/// (1 or 4), else 4. One event-driven pass lane-packs 64*width - 1 faults.
-/// The reference engine always runs single-word and ignores this.
-unsigned default_lanes();
-
-/// Parses a lane width ("1" or "4"); returns false on anything else.
-bool parse_lanes(const std::string& text, unsigned& out);
-
-/// Whether the event engine runs the netlist-compile optimization passes
-/// (constant propagation, inverter fusion, dead-gate sweep) when nothing is
-/// requested explicitly: SBST_NETLIST_OPT=0 disables, else enabled.
-bool default_netlist_opt();
-
-/// Lane-block width a grading runs at: `requested` words (0 =
-/// default_lanes()), 4 when that is 4 and 1 otherwise. The reference engine
-/// always runs single-word.
+/// Lane-block width a grading runs at: `requested` words, where 0 means the
+/// default of 4 (one event-driven pass lane-packs 255 faults); 4 runs four
+/// words and anything else one. The reference engine always runs
+/// single-word.
 unsigned resolve_lanes(unsigned requested, Engine engine);
 
 /// Compile options for netlists a grading compiles: every optimization pass
-/// or none, per `netlist_opt` (1 = on, 0 = off, -1 = default_netlist_opt()).
+/// (constant propagation, inverter fusion, dead-gate sweep) or none, per
+/// `netlist_opt` (0 = off; 1 and the default -1 = on).
 netlist::CompileOptions resolve_compile_options(int netlist_opt);
 
 /// Immutable per-run grading artifacts for one (engine, netlist, observe
@@ -91,14 +70,14 @@ class EngineContext {
   /// all declared outputs). When the caller already owns a matching
   /// `compiled` netlist and/or `reach` prefilter (they must correspond to
   /// `nl` and `observe`), they are borrowed instead of rebuilt and must
-  /// outlive this context. `lanes` is the lane-block width in words (0 =
-  /// default_lanes(); values other than 4 run single-word). `netlist_opt`
-  /// selects the compile-time optimization passes when this context builds
-  /// its own compiled netlist; a borrowed `compiled` keeps whatever options
-  /// it was built with. When `store` is set and this context compiles its
-  /// own netlist, the persistent artifact store is probed first (keyed by
-  /// netlist content hash + options + lane width) and written back after a
-  /// from-scratch compile — results are identical either way.
+  /// outlive this context. `lanes` is the lane-block width in words (see
+  /// resolve_lanes). `netlist_opt` selects the compile-time optimization
+  /// passes when this context builds its own compiled netlist; a borrowed
+  /// `compiled` keeps whatever options it was built with. When `store` is
+  /// set and this context compiles its own netlist, the persistent artifact
+  /// store is probed first (keyed by netlist content hash + options + lane
+  /// width) and written back after a from-scratch compile — results are
+  /// identical either way.
   EngineContext(Engine engine, const netlist::Netlist& nl,
                 std::vector<netlist::NetId> observe,
                 const netlist::CompiledNetlist* compiled = nullptr,

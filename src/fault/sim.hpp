@@ -41,8 +41,8 @@ using ObserveSet = std::vector<netlist::NetId>;
 // default is kReference so simulate_serial stays independent of the
 // compiled evaluator; detection flags are bitwise-identical for every
 // engine, lane width, and optimization setting. `lanes` is the lane-block
-// width in words for the event engine (0 = default_lanes(); the reference
-// engine ignores it).
+// width in words for the event engine (0 = 4, see resolve_lanes; the
+// reference engine ignores it).
 
 CoverageResult simulate_serial(const netlist::Netlist& nl,
                                const std::vector<Fault>& faults,

@@ -62,19 +62,17 @@ struct SimOptions {
   /// Pack 63 faults + the good machine into the 64 bit-lanes per eval() for
   /// combinational grading (detection flags are identical either way).
   bool lane_parallel = true;
-  /// Evaluation engine (detection flags are identical for either choice).
-  /// Defaults to the event-driven compiled engine, overridable via the
-  /// SBST_ENGINE environment variable.
-  Engine engine = default_engine();
+  /// Evaluation engine (detection flags are identical for either choice):
+  /// the event-driven compiled engine unless a test asks for the oracle.
+  Engine engine = Engine::kEvent;
   /// Lane-block width in 64-bit words for the event engine: 4 packs 255
-  /// faults + the good machine per lane-parallel eval(). 0 = default_lanes()
-  /// (SBST_LANES env var, else 4). Detection flags are identical for every
-  /// width; the reference engine ignores it.
+  /// faults + the good machine per lane-parallel eval(). 0 = 4 (see
+  /// resolve_lanes). Detection flags are identical for every width; the
+  /// reference engine ignores it.
   unsigned lanes = 0;
   /// Netlist-compile optimization passes (const prop, inverter fusion, dead
-  /// sweep) when no pre-compiled netlist is lent in: 1 = on, 0 = off, -1 =
-  /// default_netlist_opt() (SBST_NETLIST_OPT env var, else on). Ignored when
-  /// `compiled` is set.
+  /// sweep) when no pre-compiled netlist is lent in: 0 = off, 1 and -1 (the
+  /// default) = on. Ignored when `compiled` is set.
   int netlist_opt = -1;
   /// Externally owned worker pool; when set, grading runs on it instead of
   /// constructing a per-call pool. Must not currently be executing a

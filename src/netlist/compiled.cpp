@@ -575,11 +575,9 @@ std::unique_ptr<CompiledNetlist> CompiledNetlist::deserialize(
 
 template <unsigned W>
 CompiledEvaluatorT<W>::CompiledEvaluatorT(
-    std::shared_ptr<const CompiledNetlist> owned, const CompiledNetlist& cn,
-    bool event_driven)
+    std::shared_ptr<const CompiledNetlist> owned, const CompiledNetlist& cn)
     : owned_(std::move(owned)),
       cn_(&cn),
-      event_driven_(event_driven),
       opt_(cn.options().any()),
       values_(cn.size() * W, 0),
       inputs_(cn.size() * W, 0),
@@ -597,18 +595,17 @@ CompiledEvaluatorT<W>::CompiledEvaluatorT(
       queued_(cn.size(), 0) {}
 
 template <unsigned W>
-CompiledEvaluatorT<W>::CompiledEvaluatorT(const CompiledNetlist& cn,
-                                          bool event_driven)
-    : CompiledEvaluatorT(nullptr, cn, event_driven) {}
+CompiledEvaluatorT<W>::CompiledEvaluatorT(const CompiledNetlist& cn)
+    : CompiledEvaluatorT(nullptr, cn) {}
 
 template <unsigned W>
-CompiledEvaluatorT<W>::CompiledEvaluatorT(const Netlist& nl, bool event_driven)
-    : CompiledEvaluatorT(std::make_shared<CompiledNetlist>(nl), event_driven) {}
+CompiledEvaluatorT<W>::CompiledEvaluatorT(const Netlist& nl)
+    : CompiledEvaluatorT(std::make_shared<CompiledNetlist>(nl)) {}
 
 template <unsigned W>
 CompiledEvaluatorT<W>::CompiledEvaluatorT(
-    std::shared_ptr<const CompiledNetlist> cn, bool event_driven)
-    : CompiledEvaluatorT(cn, *cn, event_driven) {}
+    std::shared_ptr<const CompiledNetlist> cn)
+    : CompiledEvaluatorT(cn, *cn) {}
 
 template <unsigned W>
 void CompiledEvaluatorT<W>::set_bus(const Bus& bus, std::uint64_t value) {
@@ -655,7 +652,7 @@ void CompiledEvaluatorT<W>::set_input_block(NetId net,
   // The baseline shifts under the injected faults; teardown must
   // re-propagate instead of replaying stale blocks.
   if (has_faults_) invalidate_undo();
-  if (event_driven_ && !full_pending_) schedule_live(net);
+  if (!full_pending_) schedule_live(net);
 }
 
 // Re-derives a gate's dispatch byte from its current force state. Called on
@@ -698,7 +695,7 @@ void CompiledEvaluatorT<W>::inject_block(const Site& site, bool stuck_value,
     // Undo-log teardown is only sound when a fault-free baseline exists in
     // values_: at least one eval() ran, and no input/state events are still
     // waiting to be consumed (those would be replayed away with the fault).
-    undo_active_ = event_driven_ && !full_pending_ && pending_ == 0;
+    undo_active_ = !full_pending_ && pending_ == 0;
     has_faults_ = true;
   }
   if (site.is_output()) {
@@ -716,7 +713,7 @@ void CompiledEvaluatorT<W>::inject_block(const Site& site, bool stuck_value,
   } else {
     force_slot(site.gate * 3 + site.pin, stuck_value, lane_mask);
   }
-  if (event_driven_ && !full_pending_) schedule_live(site.gate);
+  if (!full_pending_) schedule_live(site.gate);
   if (!opt_) return;
 
   // Fusion remap: copy the force (with parity) onto every pin slot that was
@@ -738,7 +735,7 @@ void CompiledEvaluatorT<W>::inject_block(const Site& site, bool stuck_value,
       const NetId target = m.slot / 3;
       if (!cn_->live_[target]) continue;
       force_slot(m.slot, stuck_value ^ (m.invert ^ extra),  lane_mask);
-      if (event_driven_ && !full_pending_) schedule(target);
+      if (!full_pending_) schedule(target);
     }
   }
 
@@ -753,7 +750,7 @@ void CompiledEvaluatorT<W>::inject_block(const Site& site, bool stuck_value,
     ++fallback_cnt_[target];
     touched_fallback_.push_back(target);
     update_dispatch(target);
-    if (event_driven_ && !full_pending_) schedule(target);
+    if (!full_pending_) schedule(target);
   }
 }
 
@@ -773,7 +770,7 @@ void CompiledEvaluatorT<W>::release_block(const Site& site,
     strip(&pin_f0_[(site.gate * 3 + site.pin) * W],
           &pin_f1_[(site.gate * 3 + site.pin) * W]);
   }
-  if (event_driven_ && !full_pending_) schedule_live(site.gate);
+  if (!full_pending_) schedule_live(site.gate);
   if (!opt_) return;
   // Strip the fusion-remapped copies too. Both polarities go, so the remap
   // inversion parity is irrelevant. Const-prop fallback activations are
@@ -787,7 +784,7 @@ void CompiledEvaluatorT<W>::release_block(const Site& site,
     const NetId target = m.slot / 3;
     if (!cn_->live_[target]) continue;
     strip(&pin_f0_[m.slot * W], &pin_f1_[m.slot * W]);
-    if (event_driven_ && !full_pending_) schedule(target);
+    if (!full_pending_) schedule(target);
   }
 }
 
@@ -802,7 +799,7 @@ void CompiledEvaluatorT<W>::clear_faults() {
         values_[it->net * W + i] = it->prev[i];
       }
     }
-  } else if (event_driven_ && !full_pending_) {
+  } else if (!full_pending_) {
     // No replayable log (inputs/state moved, or a full sweep ran while the
     // faults were active): re-propagate from the fault sites instead.
     for (NetId g : touched_out_) schedule_live(g);
@@ -1177,7 +1174,7 @@ void CompiledEvaluatorT<W>::event_eval() {
 
 template <unsigned W>
 void CompiledEvaluatorT<W>::eval() {
-  if (!event_driven_ || full_pending_) {
+  if (full_pending_) {
     full_eval();
   } else {
     event_eval();
@@ -1200,7 +1197,7 @@ void CompiledEvaluatorT<W>::step() {
     if (changed) {
       for (unsigned i = 0; i < W; ++i) state_[q * W + i] = values_[d * W + i];
       state_changed = true;
-      if (event_driven_ && !full_pending_) schedule(q);
+      if (!full_pending_) schedule(q);
     }
   }
   if (state_changed && has_faults_) invalidate_undo();
@@ -1216,7 +1213,7 @@ void CompiledEvaluatorT<W>::reset_state(bool value) {
     if (changed) {
       for (unsigned i = 0; i < W; ++i) state_[q * W + i] = w;
       state_changed = true;
-      if (event_driven_ && !full_pending_) schedule(q);
+      if (!full_pending_) schedule(q);
     }
   }
   if (state_changed && has_faults_) invalidate_undo();

@@ -19,11 +19,11 @@
 //    slot = gate*3 + pin) blocks — no hash map — and only the touched
 //    entries are reverted on clear_faults().
 //
-// Event-driven mode: every mutation (set_input, inject, clear_faults, DFF
-// state change) schedules the affected gate on a level-bucketed worklist;
-// eval() re-evaluates scheduled gates level by level, propagating to a
-// gate's fanout only when its W-word block actually changed, and stops as
-// soon as the frontier is empty. A single stuck-at fault therefore
+// Event-driven evaluation: every mutation (set_input, inject, clear_faults,
+// DFF state change) schedules the affected gate on a level-bucketed
+// worklist; eval() re-evaluates scheduled gates level by level, propagating
+// to a gate's fanout only when its W-word block actually changed, and stops
+// as soon as the frontier is empty. A single stuck-at fault therefore
 // re-simulates only its fanout cone. While a transient fault is active
 // (inject ... clear_faults with no input/state change in between), changed
 // blocks are recorded in an undo log so teardown restores the fault-free
@@ -207,15 +207,12 @@ class CompiledEvaluatorT {
   static constexpr unsigned kWords = W;
   static constexpr unsigned kLanes = 64 * W;
 
-  explicit CompiledEvaluatorT(const CompiledNetlist& cn,
-                              bool event_driven = true);
-  explicit CompiledEvaluatorT(const Netlist& nl, bool event_driven = true);
-  explicit CompiledEvaluatorT(std::shared_ptr<const CompiledNetlist> cn,
-                              bool event_driven = true);
+  explicit CompiledEvaluatorT(const CompiledNetlist& cn);
+  explicit CompiledEvaluatorT(const Netlist& nl);
+  explicit CompiledEvaluatorT(std::shared_ptr<const CompiledNetlist> cn);
 
   const Netlist& netlist() const { return cn_->netlist(); }
   const CompiledNetlist& compiled() const { return *cn_; }
-  bool event_driven() const { return event_driven_; }
 
   // ---- stimulus (mirrors Evaluator) ---------------------------------------
 
@@ -335,7 +332,7 @@ class CompiledEvaluatorT {
 
  private:
   CompiledEvaluatorT(std::shared_ptr<const CompiledNetlist> owned,
-                     const CompiledNetlist& cn, bool event_driven);
+                     const CompiledNetlist& cn);
   SBST_ALWAYS_INLINE void compute(NetId g,
                                   std::uint64_t* SBST_RESTRICT out) const;
   SBST_ALWAYS_INLINE void compute_plain(NetId g,
@@ -357,7 +354,6 @@ class CompiledEvaluatorT {
 
   std::shared_ptr<const CompiledNetlist> owned_;  // only for the Netlist ctor
   const CompiledNetlist* cn_;
-  bool event_driven_;
   bool opt_;  // any optimization pass ran (enables the fallback machinery)
 
   std::vector<std::uint64_t> values_;  // net * W + word

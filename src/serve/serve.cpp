@@ -570,8 +570,7 @@ RequestBudget budget_for(ServerState& st, const std::string& verb) {
     // verb stays unlimited — there is nothing to derive a deadline from.
     const double wall = st.cached_wall(verb);
     if (wall > 0) {
-      ms = std::max(kMinAutoDeadlineMs,
-                    st.options.deadline_factor * wall * 1e3);
+      ms = std::max(kMinAutoDeadlineMs, kAutoDeadlineFactor * wall * 1e3);
     }
   }
   if (ms > 0) {
@@ -995,17 +994,20 @@ int run_request_loop(ServerState& st, std::uint64_t next_seq, std::FILE* in,
 
 }  // namespace
 
+SessionOptions session_options(const ServeOptions& options,
+                               std::shared_ptr<store::ArtifactStore> store) {
+  return {.num_threads = options.sim.num_threads,
+          .cache = options.session_cache,
+          .lanes = options.sim.lanes,
+          .netlist_opt = options.sim.netlist_opt,
+          .budget_factor = options.budget_factor,
+          .store = std::move(store)};
+}
+
 int run_serve(const ProcessorModel& model, const ServeOptions& options,
               std::shared_ptr<store::ArtifactStore> store, std::FILE* in,
               std::FILE* out, std::FILE* err) {
-  SessionOptions sopts;
-  sopts.num_threads = options.sim.num_threads;
-  sopts.cache = options.session_cache;
-  sopts.lanes = options.sim.lanes;
-  sopts.netlist_opt = options.sim.netlist_opt;
-  sopts.budget_factor = options.budget_factor;
-  sopts.store = store;
-  GradingSession session(model, sopts);
+  GradingSession session(model, session_options(options, store));
 
   // Journal setup, fail-soft: an unopenable journal degrades to an
   // unjournaled daemon with one warning, never a refusal to serve.

@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "core/evaluate.hpp"
+#include "core/inject.hpp"
 #include "core/session.hpp"
 #include "serve/journal.hpp"
 #include "store/artifact_store.hpp"
@@ -76,7 +77,7 @@ struct ServeOptions {
   fault::SimOptions sim;
   bool session_cache = true;
   bool cpu_stats = false;
-  double budget_factor = 8.0;
+  double budget_factor = core::kDefaultBudgetFactor;
   std::size_t max_faults = 32;
   /// Fault models evaluate/campaign grade under (--fault-model /
   /// SBST_FAULT_MODEL). The default — stuck-at only — renders the exact
@@ -96,13 +97,11 @@ struct ServeOptions {
   /// Per-request wall-clock deadline in milliseconds (--request-deadline).
   /// 0 = unlimited (the default); a positive value applies to every work
   /// request; negative = "auto": each verb's deadline is derived from the
-  /// cached wall time of its last completed good run (deadline_factor ×
-  /// that, floored at kMinAutoDeadlineMs), mirroring the campaign
+  /// cached wall time of its last completed good run (kAutoDeadlineFactor
+  /// × that, floored at kMinAutoDeadlineMs), mirroring the campaign
   /// watchdog's k × good-run budget at the request level. The first run of
   /// a verb is unlimited (nothing cached yet).
   double request_deadline_ms = 0;
-  /// Multiplier for auto deadlines (k in k × cached good wall time).
-  double deadline_factor = 8.0;
   /// Write-ahead journal file (--journal). Empty = unjournaled. Open
   /// failures degrade to an unjournaled daemon with one stderr warning.
   std::string journal_path;
@@ -112,6 +111,8 @@ struct ServeOptions {
   bool replay_journal = false;
 };
 
+/// Multiplier for auto deadlines (k in k × cached good wall time).
+inline constexpr double kAutoDeadlineFactor = 8.0;
 /// Floor for auto-derived deadlines (a verb measured at ~0 ms must not get
 /// an impossible budget).
 inline constexpr double kMinAutoDeadlineMs = 50.0;
@@ -141,6 +142,10 @@ bool parse_fault_model_list(const std::string& spec,
 
 /// True for the CUTs the injection campaign can target (alu, shifter, mul).
 bool injectable_cut(core::CutId id);
+
+/// The GradingSession configuration `options` describes, over `store`.
+core::SessionOptions session_options(
+    const ServeOptions& options, std::shared_ptr<store::ArtifactStore> store);
 
 /// Resolved engine/lane/optimization configuration, to `err` only.
 void print_engine_config(const fault::SimOptions& sim, std::FILE* err);

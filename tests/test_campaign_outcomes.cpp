@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
@@ -89,6 +91,24 @@ TEST(RunBudget, NonPositiveFactorFallsBackToLegacyCap) {
     EXPECT_EQ(b.max_instructions, std::uint64_t{1} << 24);
     EXPECT_EQ(b.max_cycles, 0u);  // 0 = uncapped
     EXPECT_EQ(b.max_stores, 0u);
+  }
+}
+
+TEST(RunBudget, NanFallsBackToLegacyCapAndHugeFactorsSaturate) {
+  sim::ExecStats good;
+  good.instructions = 123456;
+  good.cpu_cycles = 234567;
+  good.stores = 789;
+  const sim::RunBudget legacy = run_budget_for(good, std::nan(""));
+  EXPECT_EQ(legacy.max_instructions, std::uint64_t{1} << 24);
+  EXPECT_EQ(legacy.max_cycles, 0u);
+  EXPECT_EQ(legacy.max_stores, 0u);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (double factor : {1e30, std::numeric_limits<double>::infinity()}) {
+    const sim::RunBudget b = run_budget_for(good, factor);
+    EXPECT_EQ(b.max_instructions, kMax) << factor;
+    EXPECT_EQ(b.max_cycles, kMax) << factor;
+    EXPECT_EQ(b.max_stores, kMax) << factor;
   }
 }
 
@@ -422,40 +442,6 @@ TEST(CampaignOutcomes, InvalidSiteThrowsFromSingleInjection) {
         std::out_of_range)
         << where;
   }
-}
-
-// ---- evaluation surface ----------------------------------------------------
-
-TEST(CampaignOutcomes, EvaluateClassifiesSampledFaultsPerCut) {
-  CampaignFixture& f = fixture();
-  GradingSession session(f.model, {.num_threads = 2});
-  EvalOptions options;
-  options.regfile_cycle_cap = 32;
-  options.pipeline_cycle_cap = 256;
-  options.classify_outcomes = true;
-  options.outcome_sample = 3;
-  const ProgramEvaluation ev =
-      evaluate_program(session, f.builder, f.program, options);
-
-  OutcomeHistogram sum;
-  for (CutId cut : {CutId::kAlu, CutId::kShifter, CutId::kMultiplier}) {
-    const OutcomeHistogram& h = ev.cut(cut).outcomes;
-    EXPECT_EQ(h.total(), options.outcome_sample);
-    EXPECT_GE(h.detected(), 1u);
-    for (std::size_t i = 0; i < kRunOutcomeCount; ++i) {
-      sum.counts[i] += h.counts[i];
-    }
-  }
-  EXPECT_EQ(ev.outcome_totals(), sum);
-  // Non-injectable components carry no sampled campaign.
-  EXPECT_EQ(ev.cut(CutId::kDivider).outcomes.total(), 0u);
-
-  // Off by default: the histograms stay all-zero.
-  EvalOptions off = options;
-  off.classify_outcomes = false;
-  const ProgramEvaluation plain =
-      evaluate_program(session, f.builder, f.program, off);
-  EXPECT_EQ(plain.outcome_totals().total(), 0u);
 }
 
 // ---- per-operation oracle: every fault model --------------------------------

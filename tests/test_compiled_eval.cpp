@@ -4,8 +4,8 @@
 //
 // Strategy: the reference Evaluator is the oracle; every test drives both
 // evaluators through identical call sequences and demands bitwise-identical
-// words on every net, for both the full-sweep (event_driven=false) and the
-// event-driven compiled modes.
+// words on every net, both for a compiled twin that sweeps on every eval()
+// (request_full_eval() first) and for the event-driven one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -211,8 +211,8 @@ TEST(CompiledNetlist, FaninConeFollowsDffDEdges) {
 TEST(CompiledEval, EveryGateKindMatchesReference) {
   const Netlist nl = every_kind_netlist();
   Evaluator oracle(nl);
-  CompiledEvaluator full(nl, /*event_driven=*/false);
-  CompiledEvaluator event(nl, /*event_driven=*/true);
+  CompiledEvaluator full(nl);
+  CompiledEvaluator event(nl);
 
   Rng rng(404);
   for (int iter = 0; iter < 50; ++iter) {
@@ -223,6 +223,7 @@ TEST(CompiledEval, EveryGateKindMatchesReference) {
       event.reset_state(iter % 14 == 0);
     }
     oracle.step();
+    full.request_full_eval();
     full.step();
     event.step();
     expect_all_nets_equal(oracle, full, "full");
@@ -233,8 +234,8 @@ TEST(CompiledEval, EveryGateKindMatchesReference) {
 TEST(CompiledEval, StemAndBranchForcesOnAllSitesAndLaneMasks) {
   const Netlist nl = every_kind_netlist();
   Evaluator oracle(nl);
-  CompiledEvaluator full(nl, false);
-  CompiledEvaluator event(nl, true);
+  CompiledEvaluator full(nl);
+  CompiledEvaluator event(nl);
 
   Rng rng(405);
   const std::uint64_t masks[] = {
@@ -246,6 +247,7 @@ TEST(CompiledEval, StemAndBranchForcesOnAllSitesAndLaneMasks) {
   };
   randomize_inputs(rng, oracle, full, event);
   oracle.eval();
+  full.request_full_eval();
   full.eval();
   event.eval();
 
@@ -262,6 +264,7 @@ TEST(CompiledEval, StemAndBranchForcesOnAllSitesAndLaneMasks) {
           full.inject(site, sv, mask);
           event.inject(site, sv, mask);
           oracle.eval();
+          full.request_full_eval();
           full.eval();
           event.eval();
           expect_all_nets_equal(oracle, full, "forced/full");
@@ -270,6 +273,7 @@ TEST(CompiledEval, StemAndBranchForcesOnAllSitesAndLaneMasks) {
           full.clear_faults();
           event.clear_faults();
           oracle.eval();
+          full.request_full_eval();
           full.eval();
           event.eval();
           expect_all_nets_equal(oracle, full, "cleared/full");
@@ -291,7 +295,7 @@ TEST(CompiledEval, DffIgnoresPinForceOnDInputLikeReference) {
   nl.output("y", nl.not_(q));
 
   Evaluator oracle(nl);
-  CompiledEvaluator event(nl, true);
+  CompiledEvaluator event(nl);
 
   for (bool sv : {false, true}) {
     oracle.set_input(a, !sv);
@@ -317,8 +321,8 @@ TEST(CompiledEval, StepAndResetStateMatchReference) {
   Rng rng(406);
   const Netlist nl = random_seq_netlist(rng, 5, 6, 60);
   Evaluator oracle(nl);
-  CompiledEvaluator full(nl, false);
-  CompiledEvaluator event(nl, true);
+  CompiledEvaluator full(nl);
+  CompiledEvaluator event(nl);
 
   for (bool init : {false, true}) {
     oracle.reset_state(init);
@@ -327,6 +331,7 @@ TEST(CompiledEval, StepAndResetStateMatchReference) {
     for (int cycle = 0; cycle < 30; ++cycle) {
       randomize_inputs(rng, oracle, full, event);
       oracle.step();
+      full.request_full_eval();
       full.step();
       event.step();
       expect_all_nets_equal(oracle, full, "seq/full");
@@ -343,8 +348,8 @@ TEST(CompiledEval, RandomizedCombOperationSequences) {
     const Netlist nl = random_comb_netlist(rng, 5 + rng.below(5),
                                            40 + rng.below(60));
     Evaluator oracle(nl);
-    CompiledEvaluator full(nl, false);
-    CompiledEvaluator event(nl, true);
+    CompiledEvaluator full(nl);
+    CompiledEvaluator event(nl);
 
     for (int op = 0; op < 200; ++op) {
       switch (rng.below(4)) {
@@ -374,6 +379,7 @@ TEST(CompiledEval, RandomizedCombOperationSequences) {
         }
         default: {
           oracle.eval();
+          full.request_full_eval();
           full.eval();
           event.eval();
           expect_all_nets_equal(oracle, full, "fuzz/full");
@@ -391,8 +397,8 @@ TEST(CompiledEval, RandomizedSeqOperationSequences) {
     const Netlist nl = random_seq_netlist(rng, 4 + rng.below(4),
                                           3 + rng.below(4), 35 + rng.below(40));
     Evaluator oracle(nl);
-    CompiledEvaluator full(nl, false);
-    CompiledEvaluator event(nl, true);
+    CompiledEvaluator full(nl);
+    CompiledEvaluator event(nl);
 
     for (int op = 0; op < 150; ++op) {
       switch (rng.below(6)) {
@@ -429,6 +435,7 @@ TEST(CompiledEval, RandomizedSeqOperationSequences) {
         }
         case 4: {
           oracle.step();
+          full.request_full_eval();
           full.step();
           event.step();
           expect_all_nets_equal(oracle, full, "seqfuzz/full");
@@ -437,6 +444,7 @@ TEST(CompiledEval, RandomizedSeqOperationSequences) {
         }
         default: {
           oracle.eval();
+          full.request_full_eval();
           full.eval();
           event.eval();
           expect_all_nets_equal(oracle, full, "seqfuzz/full");
@@ -454,8 +462,8 @@ void exercise_component(const Netlist& nl, std::uint64_t seed) {
   SCOPED_TRACE(nl.name());
   Evaluator oracle(nl);
   const CompiledNetlist cn(nl);
-  CompiledEvaluator full(cn, false);
-  CompiledEvaluator event(cn, true);
+  CompiledEvaluator full(cn);
+  CompiledEvaluator event(cn);
   Rng rng(seed);
 
   FaultUniverse universe(nl);
@@ -465,10 +473,12 @@ void exercise_component(const Netlist& nl, std::uint64_t seed) {
     randomize_inputs(rng, oracle, full, event);
     if (nl.is_combinational()) {
       oracle.eval();
+      full.request_full_eval();
       full.eval();
       event.eval();
     } else {
       oracle.step();
+      full.request_full_eval();
       full.step();
       event.step();
     }
@@ -483,6 +493,7 @@ void exercise_component(const Netlist& nl, std::uint64_t seed) {
       full.inject(f.site, f.stuck_value, mask);
       event.inject(f.site, f.stuck_value, mask);
       oracle.eval();
+      full.request_full_eval();
       full.eval();
       event.eval();
       expect_all_nets_equal(oracle, full, "component-fault/full");
@@ -523,7 +534,7 @@ TEST(CompiledEval, EventEvalVisitsOnlyTheFanoutCone) {
   const NetId lone = nl.xor_(a, b);
   nl.output("lone", lone);
 
-  CompiledEvaluator ev(nl, /*event_driven=*/true);
+  CompiledEvaluator ev(nl);
   ev.set_input(a, true);
   ev.set_input(b, false);
   ev.eval();  // first eval is a full sweep
@@ -541,24 +552,17 @@ TEST(CompiledEval, EventEvalVisitsOnlyTheFanoutCone) {
 TEST(CompiledEval, FullEvalCountsWholeSweep) {
   Rng rng(77);
   const Netlist nl = random_comb_netlist(rng, 4, 30);
-  CompiledEvaluator ev(nl, /*event_driven=*/false);
-  ev.eval();
+  CompiledEvaluator ev(nl);
+  ev.eval();  // the first eval is a full sweep
   EXPECT_EQ(ev.gate_evals(), nl.size());
+  ev.request_full_eval();
   ev.eval();
   EXPECT_EQ(ev.gate_evals(), 2 * nl.size());
 }
 
 // ---- engine-selection layer ------------------------------------------------
 
-TEST(EngineSelect, ParseAndNames) {
-  Engine e = Engine::kReference;
-  EXPECT_TRUE(fault::parse_engine("event", e));
-  EXPECT_EQ(e, Engine::kEvent);
-  EXPECT_TRUE(fault::parse_engine("reference", e));
-  EXPECT_EQ(e, Engine::kReference);
-  EXPECT_FALSE(fault::parse_engine("warp", e));
-  EXPECT_FALSE(fault::parse_engine("compiled", e));
-  EXPECT_EQ(e, Engine::kReference);  // untouched on failure
+TEST(EngineSelect, Names) {
   EXPECT_STREQ(fault::engine_name(Engine::kEvent), "event");
   EXPECT_STREQ(fault::engine_name(Engine::kReference), "reference");
 }

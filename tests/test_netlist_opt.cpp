@@ -102,8 +102,8 @@ TEST(NetlistOpt, TiedPinConstPropMatchesReferenceExhaustively) {
   const Netlist nl = tied_pin_netlist();
   const CompiledNetlist cn(nl, CompileOptions{.const_prop = true});
   Evaluator oracle(nl);
-  CompiledEvaluator full(cn, /*event_driven=*/false);
-  CompiledEvaluator event(cn, /*event_driven=*/true);
+  CompiledEvaluator full(cn);
+  CompiledEvaluator event(cn);
 
   // Two inputs: the four lane patterns 00/01/10/11 cover every combination
   // in one 64-lane word.
@@ -118,6 +118,7 @@ TEST(NetlistOpt, TiedPinConstPropMatchesReferenceExhaustively) {
     e->set_input_word(nl.input_port("b")[0], wb);
   }
   oracle.eval();
+  full.request_full_eval();
   full.eval();
   event.eval();
   // const_prop alone keeps every gate in the order, so ALL nets must match,
@@ -164,7 +165,7 @@ TEST(NetlistOpt, ConstPropKeepsObservableFallbackConesLive) {
 
   // Behavior on the outputs is unchanged for random stimulus.
   Evaluator oracle(nl);
-  CompiledEvaluator ev(opt, /*event_driven=*/true);
+  CompiledEvaluator ev(opt);
   Rng rng(99);
   for (int iter = 0; iter < 16; ++iter) {
     for (NetId in : nl.inputs()) {
@@ -264,8 +265,8 @@ TEST(NetlistOpt, InverterFusionMatchesReferenceOnAllMasks) {
   const Netlist nl = inverter_chain_netlist();
   const CompiledNetlist cn(nl, CompileOptions{.fuse_inverters = true});
   Evaluator oracle(nl);
-  CompiledEvaluator full(cn, /*event_driven=*/false);
-  CompiledEvaluator event(cn, /*event_driven=*/true);
+  CompiledEvaluator full(cn);
+  CompiledEvaluator event(cn);
 
   Rng rng(31337);
   const std::uint64_t masks[] = {
@@ -284,6 +285,7 @@ TEST(NetlistOpt, InverterFusionMatchesReferenceOnAllMasks) {
     e->set_input_word(nl.input_port("b")[0], 0xFF00FF00FF00FF00ULL);
   }
   oracle.eval();
+  full.request_full_eval();
   full.eval();
   event.eval();
   for (NetId id = 0; id < nl.size(); ++id) {
@@ -307,6 +309,7 @@ TEST(NetlistOpt, InverterFusionMatchesReferenceOnAllMasks) {
           full.inject(site, sv, mask);
           event.inject(site, sv, mask);
           oracle.eval();
+          full.request_full_eval();
           full.eval();
           event.eval();
           for (NetId id = 0; id < nl.size(); ++id) {
@@ -336,7 +339,7 @@ TEST(NetlistOpt, DffDPinsAreNeverFused) {
 
   Evaluator oracle(nl);
   const CompiledNetlist cn(nl, CompileOptions::all());
-  CompiledEvaluator ev(cn, /*event_driven=*/true);
+  CompiledEvaluator ev(cn);
   Rng rng(55);
   for (int cycle = 0; cycle < 12; ++cycle) {
     const std::uint64_t w = rng.next64();
@@ -404,8 +407,8 @@ TEST(NetlistOpt, FuzzRandomNetlistsOptimizedVsUnoptimized) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Evaluator oracle(nl);
     const CompiledNetlist cn(nl, CompileOptions::all());
-    CompiledEvaluator full(cn, /*event_driven=*/false);
-    CompiledEvaluator event(cn, /*event_driven=*/true);
+    CompiledEvaluator full(cn);
+    CompiledEvaluator event(cn);
     const FaultUniverse u(nl);
     const std::vector<Fault>& faults = u.collapsed();
 
@@ -418,6 +421,7 @@ TEST(NetlistOpt, FuzzRandomNetlistsOptimizedVsUnoptimized) {
         event.set_input_word(in, w);
       }
       oracle.eval();
+      full.request_full_eval();
       full.eval();
       event.eval();
       expect_outputs_equal(oracle, full, "fuzz pristine/full");
@@ -431,6 +435,7 @@ TEST(NetlistOpt, FuzzRandomNetlistsOptimizedVsUnoptimized) {
       full.inject(f.site, f.stuck_value, mask);
       event.inject(f.site, f.stuck_value, mask);
       oracle.eval();
+      full.request_full_eval();
       full.eval();
       event.eval();
       expect_outputs_equal(oracle, full, "fuzz fault/full");

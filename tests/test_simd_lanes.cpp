@@ -127,8 +127,8 @@ TEST(SimdLanes, BlockEvalMatchesReferencePerWord) {
     Evaluator o0(nl), o1(nl), o2(nl), o3(nl);
     const std::vector<Evaluator*> oracles{&o0, &o1, &o2, &o3};
     const CompiledNetlist cn(nl);
-    Block4 full(cn, /*event_driven=*/false);
-    Block4 event(cn, /*event_driven=*/true);
+    Block4 full(cn);
+    Block4 event(cn);
 
     for (int iter = 0; iter < 25; ++iter) {
       for (NetId in : nl.inputs()) {
@@ -141,6 +141,7 @@ TEST(SimdLanes, BlockEvalMatchesReferencePerWord) {
         event.set_input_block(in, words);
       }
       for (Evaluator* o : oracles) o->eval();
+      full.request_full_eval();
       full.eval();
       event.eval();
       expect_words_match(oracles, full, "full");
@@ -157,7 +158,7 @@ TEST(SimdLanes, InjectLaneTargetsExactlyOneLane) {
   nl.output("y", y);
 
   for (unsigned lane : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 254u, 255u}) {
-    Block4 ev(nl, /*event_driven=*/true);
+    Block4 ev(nl);
     const std::uint64_t zeros[4] = {0, 0, 0, 0};
     ev.set_input_block(a, zeros);
     ev.eval();
@@ -187,7 +188,7 @@ TEST(SimdLanes, DiffWordBroadcastsTheReferenceLane) {
   const NetId a = nl.input("a");
   nl.output("y", nl.not_(a));
 
-  Block4 ev(nl, /*event_driven=*/false);
+  Block4 ev(nl);
   const std::uint64_t words[4] = {0x1ULL, 0x0ULL, ~std::uint64_t{0}, 0xF0ULL};
   ev.set_input_block(a, words);
   ev.eval();
@@ -207,7 +208,7 @@ TEST(SimdLanes, SeqStepMatchesReferencePerWord) {
   const Netlist nl = random_seq_netlist(rng, 5, 5, 50);
   Evaluator o0(nl), o1(nl), o2(nl), o3(nl);
   const std::vector<Evaluator*> oracles{&o0, &o1, &o2, &o3};
-  Block4 event(nl, /*event_driven=*/true);
+  Block4 event(nl);
 
   for (bool init : {false, true}) {
     for (Evaluator* o : oracles) o->reset_state(init);
@@ -241,7 +242,7 @@ TEST(SimdLanes, FaultInjectionMatchesReferencePerWordWithOpt) {
   Evaluator o0(nl), o1(nl), o2(nl), o3(nl);
   const std::vector<Evaluator*> oracles{&o0, &o1, &o2, &o3};
   const CompiledNetlist cn(nl, CompileOptions::all());
-  Block4 event(cn, /*event_driven=*/true);
+  Block4 event(cn);
 
   for (int iter = 0; iter < 60; ++iter) {
     for (NetId in : nl.inputs()) {
@@ -395,18 +396,11 @@ TEST(SimdLanes, EngineContextResolvesLaneWidth) {
   const fault::EngineContext ev1(Engine::kEvent, nl, outs, nullptr, nullptr,
                                  1);
   EXPECT_EQ(ev1.lanes(), 1u);
-}
-
-TEST(SimdLanes, ParseLanesAcceptsOnlySupportedWidths) {
-  unsigned lanes = 0;
-  EXPECT_TRUE(fault::parse_lanes("1", lanes));
-  EXPECT_EQ(lanes, 1u);
-  EXPECT_TRUE(fault::parse_lanes("4", lanes));
-  EXPECT_EQ(lanes, 4u);
-  EXPECT_FALSE(fault::parse_lanes("2", lanes));
-  EXPECT_FALSE(fault::parse_lanes("0", lanes));
-  EXPECT_FALSE(fault::parse_lanes("banana", lanes));
-  EXPECT_EQ(lanes, 4u);  // untouched on failure
+  // Unset options resolve to W=4 with every compile pass on; no
+  // environment variable can change that.
+  const fault::EngineContext dflt(Engine::kEvent, nl, outs);
+  EXPECT_EQ(dflt.lanes(), 4u);
+  EXPECT_TRUE(dflt.compiled()->options() == CompileOptions::all());
 }
 
 }  // namespace

@@ -22,21 +22,6 @@
 //   --threads N / -j N   fault-simulation worker threads, 1..256 (also
 //                        SBST_THREADS env var; default: hardware
 //                        concurrency)
-//   --no-lane-parallel   disable PPSFP lane packing of faults
-//   --engine NAME        evaluation engine: reference | event
-//                        (also SBST_ENGINE env var; default: event)
-//   --lanes N            lane-block width in 64-bit words for the event
-//                        engine: 1 or 4 (also SBST_LANES env var; default
-//                        4 = 255 faults + good machine per pass; results
-//                        are identical for every width)
-//   --netlist-opt / --no-netlist-opt
-//                        netlist-compile optimization passes (const prop,
-//                        inverter fusion, dead sweep; also SBST_NETLIST_OPT
-//                        env var; default on; results identical either way)
-//   --session-cache / --no-session-cache
-//                        reuse grading artifacts (fault universes, compiled
-//                        netlists, observe cones) across gradings (default
-//                        on; results are identical either way)
 //   --store DIR          persistent content-addressed artifact store; "auto"
 //                        = $XDG_CACHE_HOME/sbst or ~/.cache/sbst (also
 //                        SBST_STORE env var; results are identical with the
@@ -58,6 +43,10 @@
 //                        entries (oldest mtime first) until it fits
 //                        (default 0 = unlimited)
 //
+// Grading always runs the event engine at 255 faults per lane-packed pass,
+// with the netlist-compile optimization passes and the session artifact
+// cache on. Unknown options and stray arguments are usage errors (exit 2).
+//
 // Serve options (the hardened daemon):
 //   --serve-threads N    request workers for `serve`, 1..256 (default 1);
 //                        a reader thread admits requests ahead of them and
@@ -78,6 +67,7 @@
 //                        recovery) and verify sealed ones, then serve
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -126,22 +116,6 @@ int usage() {
       "options: --threads N | -j N   fault-sim worker threads, 1..256 (env "
       "SBST_THREADS;\n"
       "                              default: hardware concurrency)\n"
-      "         --no-lane-parallel   disable PPSFP lane packing of faults\n"
-      "         --engine NAME        reference | event (env "
-      "SBST_ENGINE;\n"
-      "                              default: event)\n"
-      "         --lanes N            lane-block width in words: 1 | 4 (env "
-      "SBST_LANES;\n"
-      "                              default 4; identical results)\n"
-      "         --netlist-opt / --no-netlist-opt\n"
-      "                              netlist-compile optimization passes "
-      "(env\n"
-      "                              SBST_NETLIST_OPT; default on; identical "
-      "results)\n"
-      "         --session-cache / --no-session-cache\n"
-      "                              reuse grading artifacts across "
-      "gradings\n"
-      "                              (default on; identical results)\n"
       "         --store DIR          persistent artifact store; \"auto\" = \n"
       "                              ~/.cache/sbst (env SBST_STORE; "
       "identical\n"
@@ -264,27 +238,11 @@ int cmd_program(const ProcessorModel& model, bool listing) {
   return 0;
 }
 
-int cmd_export(const ProcessorModel& model, CutId cut, const char* format) {
+int cmd_export(const ProcessorModel& model, CutId cut, bool blif) {
   const netlist::Netlist& nl = model.component(cut).netlist;
-  if (format && std::strcmp(format, "blif") == 0) {
-    std::fputs(netlist::to_blif(nl).c_str(), stdout);
-  } else {
-    std::fputs(netlist::to_verilog(nl).c_str(), stdout);
-  }
+  std::fputs((blif ? netlist::to_blif(nl) : netlist::to_verilog(nl)).c_str(),
+             stdout);
   return 0;
-}
-
-GradingSession make_session(const ProcessorModel& model,
-                            const serve::ServeOptions& options,
-                            std::shared_ptr<store::ArtifactStore> store) {
-  SessionOptions sopts;
-  sopts.num_threads = options.sim.num_threads;
-  sopts.cache = options.session_cache;
-  sopts.lanes = options.sim.lanes;
-  sopts.netlist_opt = options.sim.netlist_opt;
-  sopts.budget_factor = options.budget_factor;
-  sopts.store = std::move(store);
-  return GradingSession(model, sopts);
 }
 
 // `conform generate`: write a randomized corpus directory. The summary on
@@ -333,9 +291,7 @@ int cmd_conform(const ProcessorModel& model,
         seed = std::strtoull(args[++k], &end, 10);
         if (end == args[k] || *end != '\0') return usage();
       } else if (std::strcmp(a, "--count") == 0 && k + 1 < args.size()) {
-        const long v = std::strtol(args[++k], nullptr, 10);
-        if (v <= 0) return usage();
-        count = static_cast<std::size_t>(v);
+        if (!parse_size(args[++k], 1, count)) return usage();
       } else if (std::strcmp(a, "--out") == 0 && k + 1 < args.size()) {
         out_dir = args[++k];
       } else {
@@ -347,7 +303,7 @@ int cmd_conform(const ProcessorModel& model,
   }
   if (sub == "run") {
     if (args.size() != 3) return usage();
-    GradingSession session = make_session(model, options, store);
+    GradingSession session(model, serve::session_options(options, store));
     const int status =
         serve::render_conform_run(session, args[2], stdout, stderr);
     serve::print_store_summary(session, store.get(), stderr);
@@ -363,7 +319,7 @@ int main(int argc, char** argv) {
   serve::ServeOptions options;
   const char* store_spec = std::getenv("SBST_STORE");
   const char* model_spec = std::getenv("SBST_FAULT_MODEL");
-  std::uint64_t store_budget = 0;
+  std::size_t store_budget = 0;
   std::vector<const char*> args;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -372,19 +328,16 @@ int main(int argc, char** argv) {
           !fault::parse_thread_count(argv[++i], options.sim.num_threads)) {
         return usage();
       }
-    } else if (std::strcmp(a, "--no-lane-parallel") == 0) {
-      options.sim.lane_parallel = false;
-    } else if (std::strcmp(a, "--session-cache") == 0) {
-      options.session_cache = true;
-    } else if (std::strcmp(a, "--no-session-cache") == 0) {
-      options.session_cache = false;
     } else if (std::strcmp(a, "--cpu-stats") == 0) {
       options.cpu_stats = true;
     } else if (std::strcmp(a, "--budget-factor") == 0) {
       if (i + 1 >= argc) return usage();
       char* end = nullptr;
       options.budget_factor = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0') return usage();
+      if (end == argv[i] || *end != '\0' ||
+          !std::isfinite(options.budget_factor)) {
+        return usage();
+      }
     } else if (std::strcmp(a, "--max-faults") == 0) {
       if (i + 1 >= argc || !parse_size(argv[++i], 0, options.max_faults)) {
         return usage();
@@ -416,30 +369,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--replay-journal") == 0) {
       options.replay_journal = true;
     } else if (std::strcmp(a, "--store-budget") == 0) {
-      if (i + 1 >= argc) return usage();
-      char* end = nullptr;
-      store_budget = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') return usage();
-    } else if (std::strcmp(a, "--engine") == 0 ||
-               std::strncmp(a, "--engine=", 9) == 0) {
-      const char* name = a[8] == '=' ? a + 9 : nullptr;
-      if (!name) {
-        if (i + 1 >= argc) return usage();
-        name = argv[++i];
+      if (i + 1 >= argc || !parse_size(argv[++i], 0, store_budget)) {
+        return usage();
       }
-      if (!fault::parse_engine(name, options.sim.engine)) return usage();
-    } else if (std::strcmp(a, "--lanes") == 0 ||
-               std::strncmp(a, "--lanes=", 8) == 0) {
-      const char* value = a[7] == '=' ? a + 8 : nullptr;
-      if (!value) {
-        if (i + 1 >= argc) return usage();
-        value = argv[++i];
-      }
-      if (!fault::parse_lanes(value, options.sim.lanes)) return usage();
-    } else if (std::strcmp(a, "--netlist-opt") == 0) {
-      options.sim.netlist_opt = 1;
-    } else if (std::strcmp(a, "--no-netlist-opt") == 0) {
-      options.sim.netlist_opt = 0;
     } else if (std::strcmp(a, "--store") == 0 ||
                std::strncmp(a, "--store=", 8) == 0) {
       const char* value = a[7] == '=' ? a + 8 : nullptr;
@@ -458,6 +390,12 @@ int main(int argc, char** argv) {
         value = argv[++i];
       }
       model_spec = value;
+    } else if (a[0] == '-' &&
+               !(args.size() >= 2 && std::strcmp(args[0], "conform") == 0 &&
+                 std::strcmp(args[1], "generate") == 0)) {
+      // Only `conform generate` has options of its own.
+      std::fprintf(stderr, "sbst: unknown option \"%s\"\n", a);
+      return usage();
     } else {
       args.push_back(a);
     }
@@ -490,12 +428,13 @@ int main(int argc, char** argv) {
   }
 
   const std::string cmd = args[0];
+  const bool bare = args.size() == 1;  // no positional arguments
   ProcessorModel model;
-  if (cmd == "inventory") return cmd_inventory(model);
-  if (cmd == "program") return cmd_program(model, false);
-  if (cmd == "listing") return cmd_program(model, true);
-  if (cmd == "evaluate") {
-    GradingSession session = make_session(model, options, store);
+  if (cmd == "inventory" && bare) return cmd_inventory(model);
+  if (cmd == "program" && bare) return cmd_program(model, false);
+  if (cmd == "listing" && bare) return cmd_program(model, true);
+  if (cmd == "evaluate" && bare) {
+    GradingSession session(model, serve::session_options(options, store));
     const int status =
         serve::render_evaluate(session, options.sim, options.cpu_stats,
                                stdout, stderr, options.fault_models);
@@ -519,7 +458,7 @@ int main(int argc, char** argv) {
     if (cuts.empty()) {
       cuts = {CutId::kAlu, CutId::kShifter, CutId::kMultiplier};
     }
-    GradingSession session = make_session(model, options, store);
+    GradingSession session(model, serve::session_options(options, store));
     const int status = serve::render_campaign(session, options.sim,
                                               options.max_faults, cuts,
                                               stdout, stderr,
@@ -527,8 +466,7 @@ int main(int argc, char** argv) {
     serve::print_store_summary(session, store.get(), stderr);
     return status;
   }
-  if (cmd == "serve") {
-    if (args.size() != 1) return usage();
+  if (cmd == "serve" && bare) {
     return serve::run_serve(model, options, store, stdin, stdout, stderr);
   }
   if (cmd == "conform") {
@@ -540,12 +478,16 @@ int main(int argc, char** argv) {
     }
   }
   if (cmd == "generate" || cmd == "export") {
-    if (args.size() < 2) return usage();
     CutId cut;
-    if (!parse_cut(args[1], cut)) return usage();
-    return cmd == "generate"
-               ? cmd_generate(model, cut)
-               : cmd_export(model, cut, args.size() > 2 ? args[2] : nullptr);
+    if (args.size() < 2 || !parse_cut(args[1], cut)) return usage();
+    if (cmd == "generate") {
+      return args.size() == 2 ? cmd_generate(model, cut) : usage();
+    }
+    const std::string format = args.size() > 2 ? args[2] : "verilog";
+    if (args.size() > 3 || (format != "verilog" && format != "blif")) {
+      return usage();
+    }
+    return cmd_export(model, cut, format == "blif");
   }
   return usage();
 }
