@@ -198,16 +198,27 @@ double ProgramEvaluation::missing_fc(CutId id) const {
                           static_cast<double>(total);
 }
 
-ProgramEvaluation evaluate_program(GradingSession& session,
-                                   const TestProgramBuilder& builder,
-                                   const TestProgram& program,
-                                   const EvalOptions& options) {
-  const ProcessorModel& model = session.model();
-  ProgramEvaluation out;
+TraceCollector::Stimulus TraceCollector::stimulus(CutId id) const {
+  switch (id) {
+    case CutId::kAlu: return {&alu_, nullptr};
+    case CutId::kShifter: return {&shifter_, nullptr};
+    case CutId::kMultiplier: return {&mul_, nullptr};
+    case CutId::kControl: return {&control_, nullptr};
+    case CutId::kForwarding: return {&fwd_, nullptr};
+    case CutId::kBranchAdder: return {&badd_, nullptr};
+    case CutId::kDivider: return {nullptr, &div_};
+    case CutId::kRegisterFile: return {nullptr, &rf_};
+    case CutId::kMemCtrl: return {nullptr, &mem_};
+    case CutId::kPipeline: return {nullptr, &pipe_};
+  }
+  throw std::out_of_range("TraceCollector: unknown cut");
+}
 
-  // ---- combined run with tracing ------------------------------------------
-  auto t_trace = Clock::now();
-  TraceCollector trace(model);
+ProgramEvaluation trace_program(GradingSession& session,
+                                const TestProgram& program,
+                                const EvalOptions& options,
+                                TraceCollector& trace) {
+  ProgramEvaluation out;
   trace.set_regfile_cycle_cap(options.regfile_cycle_cap);
   trace.set_pipeline_cycle_cap(options.pipeline_cycle_cap);
   for (std::size_t i = 0; i < program.routines.size(); ++i) {
@@ -227,6 +238,19 @@ ProgramEvaluation evaluate_program(GradingSession& session,
   for (unsigned slot = 0; slot < kSignatureSlots; ++slot) {
     out.signatures.push_back(cpu.read_word(program.signature_address(slot)));
   }
+  return out;
+}
+
+ProgramEvaluation evaluate_program(GradingSession& session,
+                                   const TestProgramBuilder& builder,
+                                   const TestProgram& program,
+                                   const EvalOptions& options) {
+  const ProcessorModel& model = session.model();
+
+  // ---- combined run with tracing ------------------------------------------
+  auto t_trace = Clock::now();
+  TraceCollector trace(model);
+  ProgramEvaluation out = trace_program(session, program, options, trace);
   out.stages.trace = seconds_since(t_trace);
 
   // ---- per-component grading plan -----------------------------------------
@@ -260,22 +284,7 @@ ProgramEvaluation evaluate_program(GradingSession& session,
         options.sim.lanes, options.sim.netlist_opt);
     out.stages.compile += seconds_since(t_compile);
 
-    const fault::PatternSet* patterns = nullptr;
-    const fault::SeqStimulus* stimulus = nullptr;
-    switch (info.id) {
-      case CutId::kAlu: patterns = &trace.alu_patterns(); break;
-      case CutId::kShifter: patterns = &trace.shifter_patterns(); break;
-      case CutId::kMultiplier: patterns = &trace.multiplier_patterns(); break;
-      case CutId::kControl: patterns = &trace.control_patterns(); break;
-      case CutId::kForwarding: patterns = &trace.forwarding_patterns(); break;
-      case CutId::kBranchAdder:
-        patterns = &trace.branch_adder_patterns();
-        break;
-      case CutId::kDivider: stimulus = &trace.divider_stimulus(); break;
-      case CutId::kRegisterFile: stimulus = &trace.regfile_stimulus(); break;
-      case CutId::kMemCtrl: stimulus = &trace.memctrl_stimulus(); break;
-      case CutId::kPipeline: stimulus = &trace.pipeline_stimulus(); break;
-    }
+    const auto [patterns, stimulus] = trace.stimulus(info.id);
 
     for (const fault::FaultModel fm : models) {
       // Transition detection needs launch/capture pattern PAIRS; the clocked

@@ -104,6 +104,14 @@ class TraceCollector final : public sim::CpuHooks {
   const fault::SeqStimulus& memctrl_stimulus() const { return mem_; }
   const fault::SeqStimulus& pipeline_stimulus() const { return pipe_; }
 
+  /// The stimulus captured for `id`: its pattern set for a combinational
+  /// CUT, its clocked stimulus for a sequential one (the other stays null).
+  struct Stimulus {
+    const fault::PatternSet* patterns = nullptr;
+    const fault::SeqStimulus* clocked = nullptr;
+  };
+  Stimulus stimulus(CutId id) const;
+
  private:
   static bool fresh(TraceKeySet& seen, const TraceKey& key) {
     return seen.insert(key).second;
@@ -193,6 +201,16 @@ struct ProgramEvaluation {
   /// coverage (the paper's "Miss. FC" column).
   double missing_fc(CutId id) const;
 };
+
+/// Runs `program` once on the CPU model with `trace` capturing every CUT's
+/// stimulus exactly as evaluate_program grades it (register-file capture
+/// restricted to the register-file routine's section, EvalOptions' cycle
+/// caps). Returns an evaluation holding only the run's `total` and
+/// `signatures`; throws std::runtime_error if the program does not halt.
+ProgramEvaluation trace_program(GradingSession& session,
+                                const TestProgram& program,
+                                const EvalOptions& options,
+                                TraceCollector& trace);
 
 /// Full evaluation through a GradingSession: runs the combined program with
 /// tracing, grades every component as one flattened chunk-task batch on the

@@ -52,10 +52,9 @@ Activation activation_of(const std::vector<Fault>& faults) {
   return Activation::kAlways;
 }
 
-TransitionBaseline make_transition_baseline(const Netlist& nl,
-                                            const PatternSet& patterns,
-                                            const ObserveSet& observe) {
-  TransitionBaseline base;
+GoodBaseline make_good_baseline(const Netlist& nl, const PatternSet& patterns,
+                                const ObserveSet& observe) {
+  GoodBaseline base;
   const std::size_t n_blocks = patterns.block_count();
   base.vals.resize(n_blocks);
   base.out.resize(n_blocks);
@@ -75,6 +74,46 @@ TransitionBaseline make_transition_baseline(const Netlist& nl,
   return base;
 }
 
+CptTables make_cpt_tables(const Netlist& nl, const PatternSet& patterns,
+                          const ObserveSet& observe) {
+  CptTables cpt;
+  cpt.good = make_good_baseline(nl, patterns, observe);
+  // reader[n] = gate * 4 + pin of the one pin that reads net n, or kHead
+  // when n is cut: its fanout is not 1, it is observed, or it is an input.
+  constexpr std::uint32_t kHead = ~std::uint32_t{0};
+  const std::vector<std::uint32_t> fanout = nl.fanout_counts();
+  std::vector<std::uint32_t> reader(nl.size(), kHead);
+  for (NetId g = 0; g < nl.size(); ++g) {
+    const netlist::Gate& gate = nl.gate(g);
+    for (unsigned p = 0; p < netlist::fanin_count(gate.kind); ++p) {
+      const NetId n = gate.in[p];
+      if (n != netlist::kNoNet && fanout[n] == 1) reader[n] = g * 4 + p;
+    }
+  }
+  for (NetId n : observe) reader[n] = kHead;
+  for (NetId n : nl.inputs()) reader[n] = kHead;
+  // A reader is later in topological order than the net it reads, so one
+  // reverse pass resolves heads and sensitivities reader-first.
+  const std::vector<NetId>& topo = nl.topo_order();
+  cpt.head.resize(nl.size());
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    cpt.head[*it] = reader[*it] == kHead ? *it : cpt.head[reader[*it] / 4];
+  }
+  cpt.sens.resize(patterns.block_count());
+  for (std::size_t b = 0; b < cpt.sens.size(); ++b) {
+    const std::uint64_t* vals = cpt.good.vals[b].data();
+    std::vector<std::uint64_t>& sens = cpt.sens[b];
+    sens.resize(nl.size());
+    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+      const std::uint32_t r = reader[*it];
+      sens[*it] = r == kHead ? ~std::uint64_t{0}
+                             : sens[r / 4] & pin_sensitivity(nl.gate(r / 4),
+                                                             r % 4, vals);
+    }
+  }
+  return cpt;
+}
+
 }  // namespace detail
 
 CoverageResult simulate_serial(const Netlist& nl,
@@ -86,9 +125,9 @@ CoverageResult simulate_serial(const Netlist& nl,
   const EngineContext ctx(engine, nl, observe, /*compiled=*/nullptr,
                           /*reach=*/nullptr, lanes);
   const detail::Activation act = detail::activation_of(faults);
-  std::optional<detail::TransitionBaseline> baseline;
+  std::optional<detail::GoodBaseline> baseline;
   if (act == detail::Activation::kTransition) {
-    baseline = detail::make_transition_baseline(nl, patterns, ctx.observe());
+    baseline = detail::make_good_baseline(nl, patterns, ctx.observe());
   }
 
   CoverageResult res;

@@ -11,7 +11,8 @@
 //                       fast paths are cross-checked against in tests, for
 //                       every fault model.
 //  * simulate_comb:     PPSFP — 64 packed patterns per pass, one fault
-//                       re-simulated per pass with fault dropping.
+//                       re-simulated per pass with fault dropping
+//                       (transition faults: critical-path tracing).
 //                       Combinational netlists only.
 //  * simulate_seq:      parallel-fault — lane 0 is the fault-free machine,
 //                       the other lanes carry faulty machines through the

@@ -1,37 +1,42 @@
 // Grading kernels shared by the simulators in sim.cpp and sim_parallel.cpp.
 // Internal to src/fault.
 //
-// Seven kernels cover every fault model and schedule — three serial oracles
-// and four production kernels:
+// Six kernels cover every fault model and schedule — three serial oracles
+// and three production kernels:
 //
 //  * grade_serial / grade_seq_serial / grade_transition_serial: one fault
 //    at a time — the oracle loops behind simulate_serial (combinational,
 //    clocked, and launch/capture respectively);
+//  * grade_cpt: critical-path tracing, the production combinational kernel
+//    for every fault model — Ev::kWords 64-pattern blocks per eval, one
+//    good sweep per block group plus one event-driven flip per
+//    fanout-free-region head that still has a live fault;
 //  * grade_blocks: PPSFP, Ev::kWords 64-pattern blocks per eval, one fault
-//    per eval with fault dropping;
-//  * grade_lanes: lane packing, the good machine in lane 0 and one faulty
-//    machine per other lane, one broadcast pattern per eval, with
-//    drop-and-repack of detected faults between segments;
-//  * grade_seq: lane packing through a clocked stimulus, with the same
-//    drop-and-repack (flip-flop lane bits move with their fault);
-//  * grade_transition_blocks: launch/capture pairing on the block schedule.
+//    per eval with fault dropping (SimOptions::lane_parallel = false, and
+//    the incremental simulate_comb_into);
+//  * grade_seq: lane packing through a clocked stimulus, the good machine
+//    in lane 0 and one faulty machine per other lane, with drop-and-repack
+//    of detected faults between segments (flip-flop lane bits move with
+//    their fault).
 //
-// Every kernel except the transition pair is templated on an Activation
-// policy: stuck-at faults are always active (resolved with if constexpr, so
-// that instantiation never consults an activation stream), transient-SEU
-// and intermittent faults are forced only where fault_active{,_word} is on.
+// The kernels are templated on an Activation policy: stuck-at faults are
+// always active (resolved with if constexpr, so that instantiation never
+// consults an activation stream), transient-SEU and intermittent faults are
+// forced only where fault_active{,_word} is on, and transition faults
+// (grade_cpt and the serial oracle) pair launch and capture patterns.
 //
 // The kernels are also templated on the evaluator type, so they run
 // unchanged on the reference Evaluator and the event-driven compiled
 // evaluator at either lane width (see engine.hpp). Each call uses ONE
 // evaluator: grade_seq parks every lane batch's flip-flops in a small
 // save_state() buffer instead of building an evaluator per batch, and the
-// per-fault kernels follow a good-machine pass, then per fault
-// inject / eval / observe / clear_faults, which the event-driven engine
-// turns into one fanout-cone propagation plus an O(touched) revert per
-// fault. `reach` (nullable) is the output-cone prefilter: a fault whose
-// site cannot structurally reach the observe set is skipped, which cannot
-// change its detection flag (it would never be detected anyway).
+// block kernels follow a good-machine pass, then per fault (grade_blocks)
+// or per region head (grade_cpt) inject / eval / observe / clear_faults,
+// which the event-driven engine turns into one fanout-cone propagation plus
+// an O(touched) revert. `reach` (nullable) is the output-cone prefilter: a
+// fault whose site cannot structurally reach the observe set is skipped,
+// which cannot change its detection flag (it would never be detected
+// anyway).
 #pragma once
 
 #include <algorithm>
@@ -106,8 +111,8 @@ void apply_pattern_broadcast(Ev& ev, const PatternSet& patterns,
 
 /// When a kernel forces a fault's site: kAlways for stuck-at, kWindowed
 /// (where the fault's activation stream is on) for transient SEU and
-/// intermittent, and kTransition (launch/capture pairs, graded by the
-/// transition kernels) for transition faults.
+/// intermittent, and kTransition (launch/capture pairs, graded by grade_cpt
+/// and the serial oracle) for transition faults.
 enum class Activation : std::uint8_t { kAlways, kWindowed, kTransition };
 
 /// The activation policy of a homogeneous fault list's model; throws
@@ -129,12 +134,21 @@ void with_activation(Activation act, const Fn& fn) {
   }
 }
 
+/// with_activation for kernels that also grade kTransition (grade_cpt).
+template <class Fn>
+void with_any_activation(Activation act, const Fn& fn) {
+  if (act == Activation::kTransition) {
+    fn(ActivationTag<Activation::kTransition>{});
+  } else {
+    with_activation(act, fn);
+  }
+}
+
 /// Activation-stream keys of faults [begin, end), indexed from `begin`;
-/// empty under kAlways, which never consults a stream.
+/// empty unless kWindowed, the only policy that consults a stream.
 template <Activation A>
 std::vector<std::uint64_t> stream_keys(const std::vector<Fault>& faults,
                                        std::size_t begin, std::size_t end) {
-  static_assert(A != Activation::kTransition);
   std::vector<std::uint64_t> keys;
   if constexpr (A == Activation::kWindowed) {
     keys.reserve(end - begin);
@@ -147,10 +161,10 @@ std::vector<std::uint64_t> stream_keys(const std::vector<Fault>& faults,
 
 // ---- lane-packed drop-and-repack ------------------------------------------
 //
-// grade_lanes and grade_seq keep a chunk's still-undetected faults in a live
-// list, fault-index order, 64 * Ev::kWords - 1 per batch: live position p
-// rides lane p % batch + 1 of batch p / batch, and lane 0 of every batch is
-// the fault-free machine. All batches advance in lockstep segments of
+// grade_seq keeps a chunk's still-undetected faults in a live list,
+// fault-index order, 64 * Ev::kWords - 1 per batch: live position p rides
+// lane p % batch + 1 of batch p / batch, and lane 0 of every batch is the
+// fault-free machine. All batches advance in lockstep segments of
 // kRepackSegment steps; after each segment the survivors are counted from
 // the flags and, when they fit in fewer batches, repacked. Every lane is an
 // independent machine whose future depends only on its own flip-flop bits,
@@ -160,7 +174,7 @@ std::vector<std::uint64_t> stream_keys(const std::vector<Fault>& faults,
 /// Steps (patterns or clock cycles) every batch runs between repacks.
 inline constexpr std::size_t kRepackSegment = 16;
 
-/// Faults of [begin, end) that get a lane: with a `reach` prefilter, only
+/// Faults of [begin, end) that get graded: with a `reach` prefilter, only
 /// those structurally able to reach the observe set at all.
 inline std::vector<std::size_t> live_faults(const std::vector<Fault>& faults,
                                             std::size_t begin, std::size_t end,
@@ -386,49 +400,6 @@ void grade_blocks(Ev& ev, const std::vector<Fault>& faults, std::size_t begin,
   }
 }
 
-/// Lane-packed grading of faults [begin, end): lane 0 is the fault-free
-/// machine, lanes 1.. carry the live faults, each pattern is broadcast into
-/// all lanes. Patterns run in segments of kRepackSegment; a combinational
-/// lane has no state, so after every segment the detected faults simply
-/// leave the live list and the next segment re-arms the survivors' forces.
-/// A fault's detection depends only on its own lane, so flags are
-/// independent of batch composition — chunk boundaries, thread count and
-/// lane width all wash out.
-template <Activation A, class Ev>
-void grade_lanes(Ev& ev, const std::vector<Fault>& faults, std::size_t begin,
-                 std::size_t end, const PatternSet& patterns,
-                 const ObserveSet& observe, const std::uint8_t* reach,
-                 std::uint8_t* flags) {
-  constexpr unsigned W = Ev::kWords;
-  constexpr std::size_t kFaultLanes = 64 * W - 1;  // lane 0 = good machine
-  const std::vector<std::uint64_t> keys = stream_keys<A>(faults, begin, end);
-  std::vector<std::size_t> live = live_faults(faults, begin, end, reach);
-  std::vector<std::uint8_t> active;  // kWindowed: lane j + 1 is forced
-  for (std::size_t p0 = 0; p0 < patterns.size() && !live.empty();
-       p0 += kRepackSegment) {
-    const std::size_t p1 = std::min(p0 + kRepackSegment, patterns.size());
-    for (std::size_t b = 0; b < batch_count(live.size(), kFaultLanes); ++b) {
-      const LaneBatch batch = lane_batch(live, b, kFaultLanes);
-      arm_lanes<A>(ev, faults, batch, active);
-      std::uint64_t detected[W] = {};
-      for (std::size_t p = p0; p < p1; ++p) {
-        if constexpr (A == Activation::kWindowed) {
-          toggle_lanes(ev, faults, batch, keys.data(), begin, p, active);
-        }
-        apply_pattern_broadcast(ev, patterns, p);
-        ev.eval();
-        for (netlist::NetId out : observe) {
-          for (unsigned w = 0; w < W; ++w) {
-            detected[w] |= ev.diff_word(out, w, 0);
-          }
-        }
-      }
-      flag_lanes(detected, batch, flags);
-    }
-    std::erase_if(live, [flags](std::size_t f) { return flags[f] != 0; });
-  }
-}
-
 /// Lane-packed sequential grading of faults [begin, end) through the whole
 /// clocked stimulus. Batches run in lockstep segments of kRepackSegment
 /// cycles on ONE evaluator: each batch's flip-flops are parked in a
@@ -542,6 +513,29 @@ void grade_seq_serial(netlist::Evaluator& ev, const std::vector<Fault>& faults,
   }
 }
 
+// ---- fault-free baseline ----------------------------------------------------
+
+/// Fault-free per-block net values and observe-point responses, precomputed
+/// ONCE with the reference Evaluator. Transition and critical-path grading
+/// need the good value of every original LINE, and optimized compiled
+/// evaluators cannot provide it: dead-sweep liveness is computed on
+/// post-fusion edges, so a fused-away gate's value array is stale.
+struct GoodBaseline {
+  std::vector<std::vector<std::uint64_t>> vals;  // [block][net]
+  std::vector<std::vector<std::uint64_t>> out;   // [block][observe index]
+};
+
+GoodBaseline make_good_baseline(const netlist::Netlist& nl,
+                                const PatternSet& patterns,
+                                const ObserveSet& observe);
+
+/// The netlist line a fault site forces: the gate's output net, or the net
+/// its faulted input pin reads.
+inline netlist::NetId fault_line(const netlist::Netlist& nl,
+                                 const netlist::Site& site) {
+  return site.is_output() ? site.gate : nl.gate(site.gate).in[site.pin];
+}
+
 // ---- transition grading ----------------------------------------------------
 //
 // A transition fault with captured (faulty) value sv is detected by a
@@ -551,26 +545,6 @@ void grade_seq_serial(netlist::Evaluator& ev, const std::vector<Fault>& faults,
 // patterns are consecutive instructions, so the pairs are exactly what a
 // routine delivers.
 
-/// Fault-free per-block net values and observe-point responses, precomputed
-/// ONCE with the reference Evaluator. Transition grading needs the good value
-/// of the faulted LINE itself for launch/capture pairing, and optimized
-/// compiled evaluators cannot provide it: dead-sweep liveness is computed on
-/// post-fusion edges, so a fused-away gate's value array is stale.
-struct TransitionBaseline {
-  std::vector<std::vector<std::uint64_t>> vals;  // [block][net]
-  std::vector<std::vector<std::uint64_t>> out;   // [block][observe index]
-};
-
-TransitionBaseline make_transition_baseline(const netlist::Netlist& nl,
-                                            const PatternSet& patterns,
-                                            const ObserveSet& observe);
-
-/// The netlist line whose transition a fault site models.
-inline netlist::NetId transition_line(const netlist::Netlist& nl,
-                                      const netlist::Site& site) {
-  return site.is_output() ? site.gate : nl.gate(site.gate).in[site.pin];
-}
-
 /// The serial transition oracle: one fault at a time, walking the 64-pattern
 /// blocks in order with one faulty eval per block that has a capture lane.
 /// Pairs within a block are launch lane L, capture lane L + 1; lane 63 of
@@ -579,7 +553,7 @@ template <class Ev>
 void grade_transition_serial(Ev& ev, const std::vector<Fault>& faults,
                              const PatternSet& patterns,
                              const ObserveSet& observe,
-                             const TransitionBaseline& baseline,
+                             const GoodBaseline& baseline,
                              const std::uint8_t* reach, std::uint8_t* flags) {
   const netlist::Netlist& nl = patterns.netlist();
   if (patterns.size() < 2) return;
@@ -587,7 +561,7 @@ void grade_transition_serial(Ev& ev, const std::vector<Fault>& faults,
     const Fault& fault = faults[f];
     if (reach && !reach[fault.site.gate]) continue;
     const bool sv = fault.stuck_value;
-    const netlist::NetId line = transition_line(nl, fault.site);
+    const netlist::NetId line = fault_line(nl, fault.site);
     std::uint64_t prev_launch_msb = 0;  // lane 63 launch state of block b-1
     for (std::size_t b = 0; b < patterns.block_count() && !flags[f]; ++b) {
       const std::uint64_t valid = patterns.valid_lanes(b);
@@ -615,76 +589,191 @@ void grade_transition_serial(Ev& ev, const std::vector<Fault>& faults,
   }
 }
 
-/// Transition grading of faults [begin, end) against a precomputed baseline,
-/// block-major so the event engine pays one stimulus propagation per block
-/// group, with fault dropping. Bitwise-identical flags to
-/// grade_transition_serial: per block, launch lanes carry the fault-free
-/// value sv, capture lanes carry !sv AND the equivalent stuck-at-sv is
-/// observed; lane 63 chains into lane 0 of the next block, and across group
-/// words, via prev_msb.
-template <class Ev>
-void grade_transition_blocks(Ev& ev, const std::vector<Fault>& faults,
-                             std::size_t begin, std::size_t end,
-                             const PatternSet& patterns,
-                             const ObserveSet& observe,
-                             const TransitionBaseline& baseline,
-                             const std::uint8_t* reach, std::uint8_t* flags) {
+// ---- critical-path tracing -------------------------------------------------
+//
+// The production combinational kernel (Abramovici et al., "Critical Path
+// Tracing", DAC 1983). Cutting the netlist at every net whose fanout is not
+// exactly one, at every observed net and at every primary input leaves a
+// forest of fanout-free regions, each a tree rooted at its head. A fault
+// inside a tree reaches the rest of the netlist only through its head, along
+// the unique path from its site, so on one pattern it is detected exactly
+// when it is activated (the good line value differs from the forced one),
+// every gate on the path passes the change (its Boolean difference with
+// respect to the path pin is 1 under the good values), and flipping the
+// head changes an observed output. The first two follow from the good
+// values alone; the third costs one event-driven eval per head and pattern
+// group. That flip serves both polarities and every fault model in the
+// tree: windowed and transition faults only AND in their activation
+// (docs/METHODOLOGY.md, "Critical-path tracing: why it is exact").
+
+/// The lanes in which flipping only input pin `pin` of `g` flips its output,
+/// given the good values `vals` of the gate's inputs (the gate's Boolean
+/// difference with respect to that pin).
+inline std::uint64_t pin_sensitivity(const netlist::Gate& g, unsigned pin,
+                                     const std::uint64_t* vals) {
+  using netlist::GateKind;
+  constexpr std::uint64_t kAll = ~std::uint64_t{0};
+  switch (g.kind) {
+    case GateKind::kBuf:
+    case GateKind::kNot:
+    case GateKind::kXor:
+    case GateKind::kXnor:
+      return kAll;
+    case GateKind::kAnd:
+    case GateKind::kNand:
+      return vals[g.in[pin ^ 1u]];
+    case GateKind::kOr:
+    case GateKind::kNor:
+      return ~vals[g.in[pin ^ 1u]];
+    case GateKind::kMux2:  // in[0] ? in[2] : in[1]
+      if (pin == 0) return vals[g.in[1]] ^ vals[g.in[2]];
+      return pin == 1 ? ~vals[g.in[0]] : vals[g.in[0]];
+    default:
+      return 0;  // sources have no pins
+  }
+}
+
+/// Everything critical-path tracing reads besides the evaluator, for one
+/// (netlist, observe set, pattern set): the good baseline, every net's
+/// region head, and per block every net's sensitivity to its head (the
+/// lanes in which flipping the net flips the head). Built once, shared
+/// read-only by every chunk and every fault model.
+struct CptTables {
+  GoodBaseline good;
+  std::vector<netlist::NetId> head;              // [net]
+  std::vector<std::vector<std::uint64_t>> sens;  // [block][net]
+};
+
+CptTables make_cpt_tables(const netlist::Netlist& nl,
+                          const PatternSet& patterns,
+                          const ObserveSet& observe);
+
+/// Critical-path tracing of faults [begin, end). Per group of Ev::kWords
+/// blocks: one good-machine sweep, then for every region head that still
+/// has a live fault in the chunk, one flip of the head in every valid lane
+/// (forced to the complement of its baseline value, never of the
+/// evaluator's own value, which is stale for fused-away nets), an
+/// event-driven eval, the observed-output diff as the head's observability
+/// mask, and an O(touched) clear_faults(). A fault is then detected in the
+/// lanes valid & activated & path-sensitive & observable, ANDed with its
+/// activation stream under kWindowed; under kTransition those lanes are the
+/// capture lanes, paired with the previous lane's launch exactly as
+/// grade_transition_serial pairs them (lane 63 chains into lane 0 of the
+/// next block). Returns the number of flips per block group.
+template <Activation A, class Ev>
+std::vector<std::size_t> grade_cpt(Ev& ev, const std::vector<Fault>& faults,
+                                   std::size_t begin, std::size_t end,
+                                   const PatternSet& patterns,
+                                   const ObserveSet& observe,
+                                   const CptTables& cpt,
+                                   const std::uint8_t* reach,
+                                   std::uint8_t* flags) {
   constexpr unsigned W = Ev::kWords;
   const netlist::Netlist& nl = patterns.netlist();
   const std::size_t n_blocks = patterns.block_count();
-  if (patterns.size() < 2) return;
+  const std::vector<std::uint64_t> keys = stream_keys<A>(faults, begin, end);
 
-  // Per-fault cross-block state: the launch bit of the previous block's
-  // lane 63 (blocks are visited strictly in order, so one word suffices).
+  // The chunk's live faults grouped by region head; a region's faults are
+  // live[first, last), `alive` of them still undetected.
+  struct Region {
+    netlist::NetId head;
+    std::size_t first, last, alive;
+  };
+  std::vector<std::size_t> live = live_faults(faults, begin, end, reach);
+  std::erase_if(live, [flags](std::size_t f) { return flags[f] != 0; });
+  auto head_of = [&](std::size_t f) { return cpt.head[faults[f].site.gate]; };
+  std::stable_sort(live.begin(), live.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return head_of(a) < head_of(b);
+                   });
+  std::vector<Region> regions;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (regions.empty() || regions.back().head != head_of(live[i])) {
+      regions.push_back({head_of(live[i]), i, i, 0});
+    }
+    ++regions.back().last;
+    ++regions.back().alive;
+  }
+  std::size_t undetected = live.size();
+  // kTransition: the launch bit of each fault's previous lane 63.
   std::vector<std::uint8_t> prev_msb(end - begin, 0);
-  std::size_t undetected = end - begin;
+
+  std::vector<std::size_t> flips;
   std::uint64_t valid[W];
   for (std::size_t b = 0; b < n_blocks && undetected > 0; b += W) {
     for (unsigned w = 0; w < W; ++w) {
       valid[w] = b + w < n_blocks ? patterns.valid_lanes(b + w) : 0;
     }
     apply_block_group(ev, patterns, b);
-    ev.eval();  // good-machine baseline (the event engine branches from it)
-    for (std::size_t f = begin; f < end; ++f) {
-      if (flags[f]) continue;  // fault dropping
-      const Fault& fault = faults[f];
-      const bool sv = fault.stuck_value;  // captured (faulty) value
-      const netlist::NetId line = transition_line(nl, fault.site);
-      std::uint64_t launch[W], capture_value[W];
-      std::uint64_t any_capture = 0;
+    ev.request_full_eval();
+    ev.eval();  // good machine; every flip branches from it
+    std::size_t n_flips = 0;
+    for (Region& region : regions) {
+      if (region.alive == 0) continue;
+      const netlist::Site head{region.head, netlist::Site::kOutputPin};
+      std::uint64_t to1[W], to0[W];
       for (unsigned w = 0; w < W; ++w) {
-        const std::uint64_t lv =
-            valid[w] ? baseline.vals[b + w][line] : 0;
-        launch[w] = (sv ? lv : ~lv) & valid[w];
-        capture_value[w] = (sv ? ~lv : lv) & valid[w];
-        any_capture |= capture_value[w];
+        const std::uint64_t good =
+            valid[w] ? cpt.good.vals[b + w][region.head] : 0;
+        to1[w] = ~good & valid[w];
+        to0[w] = good & valid[w];
       }
-      std::uint64_t detect[W] = {};
-      const bool reachable = !reach || reach[fault.site.gate];
-      if (any_capture != 0 && reachable) {
-        ev.inject_broadcast(fault.site, sv);
-        ev.eval();
-        for (std::size_t o = 0; o < observe.size(); ++o) {
-          for (unsigned w = 0; w < W; ++w) {
-            if (valid[w] == 0) continue;  // padded word: no baseline row
-            detect[w] |=
-                baseline.out[b + w][o] ^ ev.value_word(observe[o], w);
+      ev.inject_block(head, true, to1);
+      ev.inject_block(head, false, to0);
+      ev.eval();
+      std::uint64_t obs[W] = {};
+      for (std::size_t o = 0; o < observe.size(); ++o) {
+        for (unsigned w = 0; w < W; ++w) {
+          if (valid[w] == 0) continue;  // padded word: no baseline row
+          obs[w] |= cpt.good.out[b + w][o] ^ ev.value_word(observe[o], w);
+        }
+      }
+      ev.clear_faults();
+      ++n_flips;
+
+      for (std::size_t i = region.first; i < region.last; ++i) {
+        const std::size_t f = live[i];
+        if (flags[f]) continue;
+        const Fault& fault = faults[f];
+        const netlist::Gate& gate = nl.gate(fault.site.gate);
+        const netlist::NetId line = fault_line(nl, fault.site);
+        const bool sv = fault.stuck_value;
+        bool det = false;
+        std::uint8_t msb = prev_msb[f - begin];
+        for (unsigned w = 0; w < W; ++w) {
+          if (valid[w] == 0) {
+            msb = 0;
+            continue;
+          }
+          const std::uint64_t* vals = cpt.good.vals[b + w].data();
+          std::uint64_t path = cpt.sens[b + w][fault.site.gate];
+          if (!fault.site.is_output()) {
+            path &= pin_sensitivity(gate, fault.site.pin, vals);
+          }
+          const std::uint64_t lv = vals[line];
+          std::uint64_t hit = (sv ? ~lv : lv) & path & obs[w] & valid[w];
+          if constexpr (A == Activation::kWindowed) {
+            hit &= fault_active_word(keys[f - begin], fault.model, b + w);
+          }
+          if constexpr (A == Activation::kTransition) {
+            const std::uint64_t launch = (sv ? lv : ~lv) & valid[w];
+            det |= ((launch << 1) & hit) != 0 || (msb && (hit & 1u));
+            msb = static_cast<std::uint8_t>((launch >> 63) & 1u);
+          } else {
+            det |= hit != 0;
           }
         }
-        ev.clear_faults();
-      }
-      std::uint8_t msb = prev_msb[f - begin];
-      for (unsigned w = 0; w < W; ++w) {
-        const std::uint64_t capture = capture_value[w] & detect[w];
-        if (((launch[w] << 1) & capture) || (msb && (capture & 1u))) {
+        prev_msb[f - begin] = msb;
+        if (det) {
           flags[f] = 1;
+          --region.alive;
+          --undetected;
         }
-        msb = static_cast<std::uint8_t>((launch[w] >> 63) & 1u);
       }
-      prev_msb[f - begin] = msb;
-      if (flags[f]) --undetected;
     }
+    flips.push_back(n_flips);
   }
+  return flips;
 }
 
 }  // namespace detail

@@ -10,9 +10,10 @@ namespace sbst::fault {
 namespace {
 
 // Faults per fault-partitioned task: a multiple of the context's lane-packed
-// batch size (64 * lanes - 1), so batches start full and repacking has
-// several batches to merge; small enough that static striding load-balances
-// fault dropping, large enough to amortize per-task evaluator construction.
+// batch size (64 * lanes - 1), so grade_seq's batches start full and
+// repacking has several batches to merge; small enough that static striding
+// load-balances fault dropping, large enough to amortize per-task evaluator
+// construction.
 // Depends only on the context (never the thread count), so chunk
 // boundaries stay deterministic (flags would not move anyway: each lane is
 // an independent machine).
@@ -45,39 +46,45 @@ void GradingPlan::add_comb(const EngineContext& ctx,
   std::uint8_t* flags = out.detected_flags.data();
 
   const detail::Activation act = detail::activation_of(faults);
-  // The launch/capture pairing needs good LINE values, which only the
-  // reference evaluator can provide post-fusion — precomputed once here,
-  // shared read-only by every chunk task.
-  const detail::TransitionBaseline* baseline =
-      act == detail::Activation::kTransition
-          ? &transition_storage_.emplace_back(detail::make_transition_baseline(
-                ctx.netlist(), patterns, ctx.observe()))
+  // Block PPSFP serves only the models it can grade; everything else, and
+  // the production default, runs critical-path tracing.
+  const detail::CptTables* cpt =
+      lane_parallel || act == detail::Activation::kTransition
+          ? &cpt_tables(ctx, patterns)
           : nullptr;
   const std::size_t chunk = chunk_faults(ctx);
   for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
     const std::size_t end = std::min(begin + chunk, faults.size());
-    tasks_.push_back([&ctx, &faults, &patterns, baseline, flags, begin, end,
-                      act, lane_parallel] {
+    tasks_.push_back([&ctx, &faults, &patterns, cpt, flags, begin, end, act] {
       ctx.grade_with_evaluator([&](auto& ev) {
-        if (baseline) {
-          detail::grade_transition_blocks(ev, faults, begin, end, patterns,
-                                          ctx.observe(), *baseline,
-                                          ctx.reach(), flags);
+        if (!cpt) {
+          detail::with_activation(act, [&](auto tag) {
+            detail::grade_blocks<decltype(tag)::value>(
+                ev, faults, begin, end, patterns, ctx.observe(), ctx.reach(),
+                flags);
+          });
           return;
         }
-        detail::with_activation(act, [&](auto tag) {
-          constexpr detail::Activation A = decltype(tag)::value;
-          if (lane_parallel) {
-            detail::grade_lanes<A>(ev, faults, begin, end, patterns,
-                                   ctx.observe(), ctx.reach(), flags);
-          } else {
-            detail::grade_blocks<A>(ev, faults, begin, end, patterns,
-                                    ctx.observe(), ctx.reach(), flags);
-          }
+        detail::with_any_activation(act, [&](auto tag) {
+          detail::grade_cpt<decltype(tag)::value>(ev, faults, begin, end,
+                                                  patterns, ctx.observe(),
+                                                  *cpt, ctx.reach(), flags);
         });
       });
     });
   }
+}
+
+const detail::CptTables& GradingPlan::cpt_tables(const EngineContext& ctx,
+                                                 const PatternSet& patterns) {
+  for (const CptEntry& e : cpt_storage_) {
+    if (e.ctx == &ctx && e.patterns == &patterns) return e.tables;
+  }
+  return cpt_storage_
+      .emplace_back(&ctx, &patterns,
+                    detail::make_cpt_tables(ctx.netlist(), patterns,
+                                            ctx.observe()))
+      .tables;
 }
 
 void GradingPlan::add_seq(const EngineContext& ctx,
@@ -125,7 +132,7 @@ std::vector<ThreadPool::TaskFailure> GradingPlan::run_capture(
     failures = pool.run_static_capture(tasks_.size(), task);
   }
   tasks_.clear();
-  transition_storage_.clear();
+  cpt_storage_.clear();
   return failures;
 }
 

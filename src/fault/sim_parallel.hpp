@@ -6,20 +6,22 @@
 // differential tests in tests/test_fault_parallel.cpp:
 //
 //  * simulate_comb_parallel: combinational grading. With
-//    SimOptions::lane_parallel the evaluator's bit-lanes carry the good
-//    machine (lane 0) plus one faulty machine per other lane, one broadcast
-//    pattern per eval() (grade_lanes); without it, each worker runs block
-//    PPSFP over its fault slice (grade_blocks). Transition faults always run
-//    the launch/capture block kernel.
+//    SimOptions::lane_parallel (the default) every worker runs
+//    critical-path tracing over its fault slice (grade_cpt): the
+//    evaluator's bit-lanes carry 64-pattern blocks, and one event-driven
+//    flip per fanout-free-region head grades every fault of that region.
+//    Without it, stuck-at, SEU and intermittent slices run block PPSFP
+//    (grade_blocks); transition faults always run critical-path tracing.
 //  * simulate_seq_parallel: sequential grading; workers run the lane-packed
 //    grade_seq over disjoint fault slices.
 //
-// Each chunk task grades one fault slice on one evaluator. The lane-packed
-// kernels drop detected faults and repack the survivors into fewer lane
-// batches every kRepackSegment steps, but only ever within their own chunk.
+// Each chunk task grades one fault slice on one evaluator. grade_seq drops
+// detected faults and repacks the survivors into fewer lane batches every
+// kRepackSegment cycles, and grade_cpt stops flipping a head once its
+// region has no live fault, but only ever within their own chunk.
 //
 // simulate_comb and simulate_seq (sim.hpp) are these front doors on one
-// thread with the block schedule.
+// thread, simulate_comb with the block schedule.
 //
 // Both compose with the evaluation engines in engine.hpp: with the event
 // engine the netlist is compiled once and every worker runs its own
@@ -59,8 +61,10 @@ struct SimOptions {
   /// env var if set, else std::thread::hardware_concurrency(). Ignored when
   /// `pool` is set.
   unsigned num_threads = 0;
-  /// Pack 63 faults + the good machine into the 64 bit-lanes per eval() for
-  /// combinational grading (detection flags are identical either way).
+  /// Combinational kernel: critical-path tracing (grade_cpt) when set, else
+  /// block PPSFP (grade_blocks) for stuck-at, SEU and intermittent faults;
+  /// transition faults always take critical-path tracing. Detection flags
+  /// are identical either way.
   bool lane_parallel = true;
   /// Evaluation engine (detection flags are identical for either choice):
   /// the event-driven compiled engine unless a test asks for the oracle.
@@ -101,9 +105,11 @@ struct SimOptions {
 /// run() — the flags are the single source of truth.
 class GradingPlan {
  public:
-  /// Combinational grading of `faults` against `patterns` (lane-packed or
-  /// block PPSFP). Transition gradings precompute their fault-free baseline
-  /// eagerly (one pass, on the calling thread).
+  /// Combinational grading of `faults` against `patterns` (critical-path
+  /// tracing, or block PPSFP without `lane_parallel`). Critical-path
+  /// gradings precompute their good baseline and region tables eagerly, on
+  /// the calling thread, once per (ctx, patterns) pair: gradings of several
+  /// fault models of one CUT share them.
   void add_comb(const EngineContext& ctx, const std::vector<Fault>& faults,
                 const PatternSet& patterns, bool lane_parallel,
                 CoverageResult& out);
@@ -133,10 +139,19 @@ class GradingPlan {
   std::vector<ThreadPool::TaskFailure> run_capture(ThreadPool& pool);
 
  private:
+  /// The critical-path tables of (ctx, patterns), built on first use and
+  /// shared by every later grading of the same pair (one per fault model).
+  const detail::CptTables& cpt_tables(const EngineContext& ctx,
+                                      const PatternSet& patterns);
+
+  struct CptEntry {
+    const EngineContext* ctx;
+    const PatternSet* patterns;
+    detail::CptTables tables;
+  };
   std::vector<std::function<void()>> tasks_;
-  // Reference-evaluator baselines for transition gradings; deque keeps the
-  // references captured by queued tasks stable.
-  std::deque<detail::TransitionBaseline> transition_storage_;
+  // deque keeps the references captured by queued tasks stable.
+  std::deque<CptEntry> cpt_storage_;
 };
 
 CoverageResult simulate_comb_parallel(const netlist::Netlist& nl,

@@ -1,9 +1,10 @@
 // `sbst evaluate` end to end under the grading configurations the CLI does
 // not offer. The CLI always grades with the event engine at W=4, netlist
-// passes on, lane packing on and the session cache on; the library keeps
-// the fields behind those settings. Each test renders the evaluate stdout
-// through the CLI's own path (serve::session_options + render_evaluate) with
-// those fields changed, and demands the bytes of the CI golden.
+// passes on, critical-path tracing (`lane_parallel`) on and the session
+// cache on; the library keeps the fields behind those settings. Each test
+// renders the evaluate stdout through the CLI's own path
+// (serve::session_options + render_evaluate) with those fields changed, and
+// demands the bytes of the CI golden.
 #include <gtest/gtest.h>
 
 #include <cstdio>

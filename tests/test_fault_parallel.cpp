@@ -338,15 +338,17 @@ TEST(FaultParallel, SeqParallelOnCombNetlistMatchesSerial) {
   expect_same_flags(oracle, got, nl, u.collapsed(), "seq on comb");
 }
 
-// ---- drop-and-repack in the lane-packed kernels ----------------------------
+// ---- work counts of the grading kernels ------------------------------------
 //
-// grade_lanes and grade_seq regroup the surviving faults into fewer lane
-// batches every detail::kRepackSegment steps. The random suites above grade
-// fewer faults than one W=4 batch and never repack, so these tests use
-// rtlgen components with more than 255 reachable faults, data that detects
-// most of them early, and at least one fault that is never detected (it
-// keeps a lane to the end). Each pins the flags to the serial oracle and
-// checks that the kernel did exactly the work drop-and-repack predicts.
+// grade_seq regroups the surviving faults into fewer lane batches every
+// detail::kRepackSegment cycles; grade_cpt flips each region head that
+// still has a live fault once per block group. The random suites above grade
+// fewer faults than one W=4 batch and only a block or two, so these tests
+// use rtlgen components with more than 255 reachable faults, data that
+// detects most of them early, and at least one fault that is never detected
+// (it stays live to the end). Each pins the flags to the serial oracle and
+// checks that the kernel did exactly the work the oracle's prefix flags
+// predict.
 
 /// Counts evaluations (eval() or step() calls), i.e. lane-batch steps.
 template <class Ev>
@@ -426,15 +428,15 @@ RepackWork expected_work(const std::vector<Fault>& faults,
   return work;
 }
 
-/// Oracle flags on every segment-boundary prefix: entry k holds the faults
-/// detected within the first k * kRepackSegment steps.
+/// Oracle flags on every boundary prefix: entry k holds the faults detected
+/// within the first k * `segment` steps.
 template <class OracleOnPrefix>
 std::vector<std::vector<std::uint8_t>> detected_at_boundaries(
-    std::size_t n_faults, std::size_t steps, const OracleOnPrefix& oracle) {
+    std::size_t n_faults, std::size_t steps, std::size_t segment,
+    const OracleOnPrefix& oracle) {
   std::vector<std::vector<std::uint8_t>> out{
       std::vector<std::uint8_t>(n_faults, 0)};
-  for (std::size_t b = detail::kRepackSegment; b < steps;
-       b += detail::kRepackSegment) {
+  for (std::size_t b = segment; b < steps; b += segment) {
     out.push_back(oracle(b).detected_flags);
   }
   return out;
@@ -516,7 +518,7 @@ void check_seq_repack(FaultModel model) {
   const std::vector<std::uint8_t> reach = cn.fanin_cone(observe);
   expect_reachable_survivor(faults, reach.data(), oracle, name.c_str());
   const auto detected_at = detected_at_boundaries(
-      faults.size(), st.size(), [&](std::size_t n) {
+      faults.size(), st.size(), detail::kRepackSegment, [&](std::size_t n) {
         return simulate_serial(nl, faults, stimulus_prefix(nl, rows, n));
       });
   if (model != FaultModel::kStuckAt) {
@@ -552,14 +554,92 @@ TEST(FaultRepack, SeqIntermittentMatchesSerialOracle) {
   check_seq_repack(FaultModel::kIntermittent);
 }
 
-TEST(FaultRepack, CombLanesMatchSerialOracleForEveryModel) {
+/// Each net's fanout-free region head, found by walking single-reader nets
+/// forward until a net with fanout other than 1, an observed net or an
+/// input: the region structure critical-path tracing must flip once each.
+std::vector<NetId> region_heads(const Netlist& nl, const ObserveSet& observe) {
+  const std::vector<std::uint32_t> fanout = nl.fanout_counts();
+  std::vector<NetId> reader(nl.size(), netlist::kNoNet);
+  for (NetId g = 0; g < nl.size(); ++g) {
+    for (unsigned p = 0; p < netlist::fanin_count(nl.gate(g).kind); ++p) {
+      reader[nl.gate(g).in[p]] = g;
+    }
+  }
+  std::vector<std::uint8_t> cut(nl.size(), 0);
+  for (NetId n = 0; n < nl.size(); ++n) {
+    cut[n] = fanout[n] != 1 || nl.gate(n).kind == GateKind::kInput;
+  }
+  for (NetId n : observe) cut[n] = 1;
+  std::vector<NetId> head(nl.size());
+  for (NetId n = 0; n < nl.size(); ++n) {
+    NetId h = n;
+    while (!cut[h]) h = reader[h];
+    head[n] = h;
+  }
+  return head;
+}
+
+/// Flips grade_cpt must make per block group: block group k flips every
+/// region head with a reachable fault the oracle leaves undetected on the
+/// first k groups, and the kernel stops once none is left.
+std::vector<std::size_t> expected_flips(
+    const std::vector<Fault>& faults, const std::uint8_t* reach,
+    const std::vector<NetId>& head,
+    const std::vector<std::vector<std::uint8_t>>& detected_at) {
+  std::vector<std::size_t> flips;
+  for (const std::vector<std::uint8_t>& detected : detected_at) {
+    std::vector<NetId> live_heads;
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      if (reach[faults[f].site.gate] && !detected[f]) {
+        live_heads.push_back(head[faults[f].site.gate]);
+      }
+    }
+    if (live_heads.empty()) break;
+    std::sort(live_heads.begin(), live_heads.end());
+    flips.push_back(static_cast<std::size_t>(
+        std::unique(live_heads.begin(), live_heads.end()) -
+        live_heads.begin()));
+  }
+  return flips;
+}
+
+/// Runs grade_cpt over the whole fault list as one chunk on a counting
+/// W-word evaluator: flags match the oracle, the flips per block group match
+/// `flips`, and the evaluator ran one good sweep per group plus one eval per
+/// flip.
+template <unsigned W>
+void expect_cpt_work(const netlist::CompiledNetlist& cn,
+                     const std::vector<Fault>& faults, const PatternSet& ps,
+                     const ObserveSet& observe, const std::uint8_t* reach,
+                     const CoverageResult& oracle,
+                     const std::vector<std::size_t>& flips,
+                     const std::string& label) {
+  const detail::CptTables cpt =
+      detail::make_cpt_tables(cn.netlist(), ps, observe);
+  CountingEvaluator<netlist::CompiledEvaluatorT<W>> ev(cn);
+  std::vector<std::uint8_t> flags(faults.size(), 0);
+  std::vector<std::size_t> got;
+  detail::with_any_activation(detail::activation_of(faults), [&](auto tag) {
+    got = detail::grade_cpt<decltype(tag)::value>(
+        ev, faults, 0, faults.size(), ps, observe, cpt, reach, flags.data());
+  });
+  EXPECT_EQ(flags, oracle.detected_flags) << label;
+  EXPECT_EQ(got, flips) << label;
+  std::size_t total = 0;
+  for (std::size_t n : got) total += n;
+  EXPECT_EQ(ev.evals, got.size() + total) << label;
+}
+
+TEST(CptWork, CombFlipsEveryLiveRegionHeadOncePerBlockGroup) {
   const Netlist nl = rtlgen::build_alu({.width = 16});
   Rng rng(0xc0b);
-  const Rows rows = random_rows(rng, nl, 72);
+  // 300 patterns: five blocks, the last one padded; two W=4 block groups.
+  const Rows rows = random_rows(rng, nl, 300);
   const PatternSet ps = patterns_prefix(nl, rows, rows.size());
   const netlist::CompiledNetlist cn(nl, netlist::CompileOptions::all());
   const ObserveSet observe = nl.output_nets();
   const std::vector<std::uint8_t> reach = cn.fanin_cone(observe);
+  const std::vector<NetId> head = region_heads(nl, observe);
   for (FaultModel model : {FaultModel::kStuckAt, FaultModel::kTransition,
                            FaultModel::kTransientSEU,
                            FaultModel::kIntermittent}) {
@@ -580,33 +660,23 @@ TEST(FaultRepack, CombLanesMatchSerialOracleForEveryModel) {
                           faults, label.c_str());
       }
     }
-    // Transition faults grade on the launch/capture block kernel; the
-    // lane-packed kernel serves the other three models.
-    if (model == FaultModel::kTransition) continue;
     expect_reachable_survivor(faults, reach.data(), oracle, name.c_str());
-    const auto detected_at = detected_at_boundaries(
-        faults.size(), ps.size(), [&](std::size_t n) {
-          return simulate_serial(nl, faults, patterns_prefix(nl, rows, n));
-        });
-    if (model != FaultModel::kStuckAt) {
-      EXPECT_TRUE(
-          window_straddles_a_boundary(faults, reach.data(), detected_at))
-          << name;
-    }
-    auto kernel = [&](auto& ev, std::uint8_t* flags) {
-      detail::with_activation(detail::activation_of(faults), [&](auto tag) {
-        detail::grade_lanes<decltype(tag)::value>(
-            ev, faults, 0, faults.size(), ps, observe, reach.data(), flags);
-      });
+    auto prefix_oracle = [&](std::size_t n) {
+      return simulate_serial(nl, faults, patterns_prefix(nl, rows, n));
     };
-    expect_kernel_repacks<1>(
-        cn, oracle,
-        expected_work(faults, reach.data(), detected_at, ps.size(), 63),
-        kernel, name + "/W1");
-    expect_kernel_repacks<4>(
-        cn, oracle,
-        expected_work(faults, reach.data(), detected_at, ps.size(), 255),
-        kernel, name + "/W4");
+    const std::vector<std::size_t> flips1 = expected_flips(
+        faults, reach.data(), head,
+        detected_at_boundaries(faults.size(), ps.size(), 64, prefix_oracle));
+    const std::vector<std::size_t> flips4 = expected_flips(
+        faults, reach.data(), head,
+        detected_at_boundaries(faults.size(), ps.size(), 256, prefix_oracle));
+    ASSERT_EQ(flips1.size(), 5u) << name;
+    ASSERT_EQ(flips4.size(), 2u) << name;
+    EXPECT_LT(flips1.back(), flips1.front()) << name;  // heads drop out
+    expect_cpt_work<1>(cn, faults, ps, observe, reach.data(), oracle, flips1,
+                       name + "/W1");
+    expect_cpt_work<4>(cn, faults, ps, observe, reach.data(), oracle, flips4,
+                       name + "/W4");
   }
 }
 

@@ -43,7 +43,8 @@
 //                        entries (oldest mtime first) until it fits
 //                        (default 0 = unlimited)
 //
-// Grading always runs the event engine at 255 faults per lane-packed pass,
+// Grading always runs the event engine at W=4 (critical-path tracing for
+// combinational CUTs, 255 faults per lane-packed pass for sequential ones),
 // with the netlist-compile optimization passes and the session artifact
 // cache on. Unknown options and stray arguments are usage errors (exit 2).
 //
