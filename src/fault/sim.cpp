@@ -1,5 +1,6 @@
 #include "fault/sim.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
@@ -112,6 +113,134 @@ CptTables make_cpt_tables(const Netlist& nl, const PatternSet& patterns,
     }
   }
   return cpt;
+}
+
+SeqTrace make_seq_trace(const Netlist& nl,
+                        const netlist::CompiledNetlist* compiled,
+                        const SeqStimulus& stimulus) {
+  SeqTrace t;
+  const std::size_t n = nl.size();
+  t.order = compiled ? compiled->order() : nl.topo_order();
+  t.dffs = compiled ? compiled->dffs() : nl.dffs();
+
+  t.nets = n;
+  t.bits.assign(
+      (stimulus.size() + kRepackSegment - 1) / kRepackSegment * n, 0);
+  auto record = [&](auto& ev) {
+    const std::vector<NetId>& inputs = nl.inputs();
+    ev.reset_state(false);
+    for (std::size_t c = 0; c < stimulus.size(); ++c) {
+      for (std::size_t k = 0; k < inputs.size(); ++k) {
+        ev.set_net(inputs[k], stimulus.input_bit(c, k));
+      }
+      ev.sweep(t.order);
+      // Unswept nets record whatever stale value they hold; nothing reads
+      // them.
+      std::uint16_t* window = &t.bits[c / kRepackSegment * n];
+      const unsigned bit = c % kRepackSegment;
+      for (NetId id = 0; id < n; ++id) {
+        window[id] |= static_cast<std::uint16_t>((ev.value(id) & 1u) << bit);
+      }
+      ev.latch(t.dffs);
+    }
+  };
+  if (compiled) {
+    netlist::CompiledEvaluatorT<1> ev(*compiled);
+    record(ev);
+  } else {
+    Evaluator ev(nl);
+    record(ev);
+  }
+
+  t.read_begin.assign(n + 1, 0);
+  for (NetId g = 0; g < n; ++g) {
+    const netlist::Gate& gate = nl.gate(g);
+    if (gate.kind == netlist::GateKind::kDff) {
+      t.reads.push_back(gate.in[0]);
+    } else if (compiled) {
+      compiled->for_each_read(g, [&](NetId s) { t.reads.push_back(s); });
+    } else {
+      for (unsigned p = 0; p < netlist::fanin_count(gate.kind); ++p) {
+        t.reads.push_back(gate.in[p]);
+      }
+    }
+    t.read_begin[g + 1] = static_cast<std::uint32_t>(t.reads.size());
+  }
+
+  t.fan_begin.assign(n + 1, 0);
+  for (NetId g = 0; g < n; ++g) {
+    const netlist::Gate& gate = nl.gate(g);
+    for (unsigned p = 0; p < netlist::fanin_count(gate.kind); ++p) {
+      ++t.fan_begin[gate.in[p] + 1];
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) t.fan_begin[i + 1] += t.fan_begin[i];
+  t.fan.resize(t.fan_begin[n]);
+  std::vector<std::uint32_t> cursor(t.fan_begin.begin(), t.fan_begin.end() - 1);
+  for (NetId g = 0; g < n; ++g) {
+    const netlist::Gate& gate = nl.gate(g);
+    for (unsigned p = 0; p < netlist::fanin_count(gate.kind); ++p) {
+      t.fan[cursor[gate.in[p]]++] = g;
+    }
+  }
+  return t;
+}
+
+void cut_cone(const SeqTrace& t, const Netlist& nl,
+              const std::vector<Fault>& faults, const LaneBatch& batch,
+              const std::uint8_t* flags, const ObserveSet& observe,
+              SeqCone& cone, std::vector<std::uint8_t>& mark) {
+  enum : std::uint8_t { kOutside, kReached, kSwept, kBoundary };
+  mark.assign(nl.size(), kOutside);
+  std::vector<NetId> reached;  // the breadth-first queue
+  auto reach = [&](NetId n) {
+    if (mark[n] == kOutside) {
+      mark[n] = kReached;
+      reached.push_back(n);
+    }
+  };
+  cone.alive = 0;
+  for (std::size_t j = 0; j < batch.n; ++j) {
+    if (flags[batch.idx[j]]) continue;
+    ++cone.alive;
+    reach(faults[batch.idx[j]].site.gate);
+  }
+  for (std::size_t i = 0; i < reached.size(); ++i) {
+    const NetId g = reached[i];
+    for (std::uint32_t e = t.fan_begin[g]; e < t.fan_begin[g + 1]; ++e) {
+      reach(t.fan[e]);
+    }
+  }
+
+  cone.gates.clear();
+  cone.boundary.clear();
+  cone.dffs.clear();
+  for (NetId g : t.order) {
+    if (mark[g] != kReached) continue;
+    mark[g] = kSwept;
+    cone.gates.push_back(g);
+  }
+  for (NetId g : cone.gates) {
+    const netlist::GateKind kind = nl.gate(g).kind;
+    if (kind == netlist::GateKind::kInput) cone.boundary.push_back(g);
+    if (kind == netlist::GateKind::kDff) cone.dffs.push_back(g);
+    for (std::uint32_t r = t.read_begin[g]; r < t.read_begin[g + 1]; ++r) {
+      const NetId s = t.reads[r];
+      if (mark[s] == kOutside) {
+        mark[s] = kBoundary;
+        cone.boundary.push_back(s);
+      }
+    }
+  }
+  std::sort(cone.boundary.begin(), cone.boundary.end());
+  cone.observe.clear();
+  for (NetId o : observe) {
+    if (mark[o] == kSwept) cone.observe.push_back(o);
+  }
+  cone.frozen.clear();
+  for (NetId q : t.dffs) {
+    if (mark[q] != kSwept) cone.frozen.push_back(q);
+  }
 }
 
 }  // namespace detail

@@ -17,7 +17,8 @@
 //  * grade_seq: lane packing through a clocked stimulus, the good machine
 //    in lane 0 and one faulty machine per other lane, with drop-and-repack
 //    of detected faults between segments (flip-flop lane bits move with
-//    their fault).
+//    their fault); each batch sweeps only its live fault cone and reads
+//    every other net from a shared fault-free trace (SeqTrace).
 //
 // The kernels are templated on an Activation policy: stuck-at faults are
 // always active (resolved with if constexpr, so that instantiation never
@@ -29,7 +30,8 @@
 // unchanged on the reference Evaluator and the event-driven compiled
 // evaluator at either lane width (see engine.hpp). Each call uses ONE
 // evaluator: grade_seq parks every lane batch's flip-flops in a small
-// save_state() buffer instead of building an evaluator per batch, and the
+// save_state() buffer instead of building an evaluator per batch and drives
+// it through the sweep / latch / set_net primitives, and the
 // block kernels follow a good-machine pass, then per fault (grade_blocks)
 // or per region head (grade_cpt) inject / eval / observe / clear_faults,
 // which the event-driven engine turns into one fanout-cone propagation plus
@@ -43,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -171,7 +174,8 @@ std::vector<std::uint64_t> stream_keys(const std::vector<Fault>& faults,
 // its force, its stream key and the global step index, so regrouping lanes
 // between segments never changes a flag (docs/METHODOLOGY.md).
 
-/// Steps (patterns or clock cycles) every batch runs between repacks.
+/// Steps (patterns or clock cycles) every batch runs between repacks; one
+/// SeqTrace window word holds a segment.
 inline constexpr std::size_t kRepackSegment = 16;
 
 /// Faults of [begin, end) that get graded: with a `reach` prefilter, only
@@ -400,23 +404,97 @@ void grade_blocks(Ev& ev, const std::vector<Fault>& faults, std::size_t begin,
   }
 }
 
+// ---- cone-restricted sequential grading -----------------------------------
+//
+// A lane batch's faults can disturb only their forward closure over the
+// original netlist edges, flip-flops included: the batch's live cone. Every
+// net outside it carries the fault-free value in every lane, so grade_seq
+// sweeps only the cone and writes the nets it reads from outside (its
+// boundary) from a fault-free trace recorded once per stimulus, in the
+// manner of PROOFS (Niermann, Cheng & Patel, DAC 1990). Flip-flops outside
+// the cone are given the fault-free next state at the end of each segment,
+// so a saved batch state stays complete and repack_lanes can move lanes
+// between batches whose cones differ (docs/METHODOLOGY.md, "Cone-restricted
+// sequential grading: why it is exact").
+
+/// Everything cone-restricted sequential grading reads besides the
+/// evaluator, for one (grading program, clocked stimulus): every net's
+/// fault-free value per cycle, bit-packed, and the program structure cones
+/// are cut from. The program is the compiled netlist's live gates in sweep
+/// order, or the whole netlist in topological order for the reference
+/// engine. Built once, shared read-only by every chunk and fault model.
+struct SeqTrace {
+  static_assert(kRepackSegment <= 16, "a segment fills one window word");
+
+  /// Fault-free values of `net` over repack segment `k`: bit i is its value
+  /// in cycle k * kRepackSegment + i (after evaluation, before the clock
+  /// edge). Only the nets of `order` are meaningful.
+  std::uint16_t window(std::size_t k, netlist::NetId net) const {
+    return bits[k * nets + net];
+  }
+  bool value(std::size_t c, netlist::NetId net) const {
+    return (window(c / kRepackSegment, net) >> (c % kRepackSegment)) & 1u;
+  }
+
+  std::size_t nets = 0;
+  std::vector<std::uint16_t> bits;        // [segment * nets + net]
+  std::vector<netlist::NetId> order;      // the program's sweep order
+  std::vector<netlist::NetId> dffs;       // the program's flip-flops
+  std::vector<std::uint32_t> fan_begin;   // original fanout CSR, D -> Q too
+  std::vector<netlist::NetId> fan;
+  std::vector<std::uint32_t> read_begin;  // [net] what evaluating it reads,
+  std::vector<netlist::NetId> reads;      // a DFF's D net included
+};
+
+/// Records the fault-free run of `stimulus` on `compiled` (a W=1 compiled
+/// evaluator) or, when it is null, on the netlist with the reference
+/// Evaluator, and tabulates the program structure.
+SeqTrace make_seq_trace(const netlist::Netlist& nl,
+                        const netlist::CompiledNetlist* compiled,
+                        const SeqStimulus& stimulus);
+
+/// One lane batch's live cone.
+struct SeqCone {
+  /// Undetected faults the cone was cut for (SIZE_MAX: not cut yet).
+  std::size_t alive = ~std::size_t{0};
+  std::vector<netlist::NetId> gates;     // swept per cycle, in sweep order
+  std::vector<netlist::NetId> boundary;  // written from the trace
+  std::vector<netlist::NetId> dffs;      // latched per cycle
+  std::vector<netlist::NetId> frozen;    // the program's other flip-flops
+  std::vector<netlist::NetId> observe;   // observed nets inside the cone
+};
+
+/// Cuts the cone of the batch's faults not yet flagged: their sites'
+/// forward closure over the original edges, restricted to the swept gates.
+/// The boundary is every net outside it that a cone gate reads (compiled
+/// pins, the original pins of const-folded gates, the D nets of cone
+/// flip-flops) plus the cone's primary inputs, which read their input
+/// shadow. `mark` is scratch.
+void cut_cone(const SeqTrace& trace, const netlist::Netlist& nl,
+              const std::vector<Fault>& faults, const LaneBatch& batch,
+              const std::uint8_t* flags, const ObserveSet& observe,
+              SeqCone& cone, std::vector<std::uint8_t>& mark);
+
 /// Lane-packed sequential grading of faults [begin, end) through the whole
 /// clocked stimulus. Batches run in lockstep segments of kRepackSegment
 /// cycles on ONE evaluator: each batch's flip-flops are parked in a
 /// save_state() buffer between its segments, and repack_lanes moves the
-/// survivors into fewer batches as soon as they fit. Under kWindowed,
-/// releasing a lane's force mid-run releases only the FORCE — any state
-/// divergence the active window seeded persists in that lane's flip-flops,
-/// which is exactly the transient-SEU / intermittent semantics: a one-cycle
-/// flip can be caught many cycles later.
+/// survivors into fewer batches as soon as they fit. Per cycle a batch
+/// writes its cone's boundary from `trace`, sweeps the cone, compares the
+/// observed nets inside it and latches its flip-flops; the cone is re-cut
+/// whenever the batch's undetected set changed. Under kWindowed, releasing
+/// a lane's force mid-run releases only the FORCE — any state divergence
+/// the active window seeded persists in that lane's flip-flops, which is
+/// exactly the transient-SEU / intermittent semantics: a one-cycle flip can
+/// be caught many cycles later.
 template <Activation A, class Ev>
 void grade_seq(Ev& ev, const std::vector<Fault>& faults, std::size_t begin,
                std::size_t end, const SeqStimulus& stimulus,
-               const ObserveSet& observe, const std::uint8_t* reach,
-               std::uint8_t* flags) {
+               const ObserveSet& observe, const SeqTrace& trace,
+               const std::uint8_t* reach, std::uint8_t* flags) {
   constexpr unsigned W = Ev::kWords;
   constexpr std::size_t kFaultLanes = 64 * W - 1;  // lane 0 = good machine
-  const auto& inputs = ev.netlist().inputs();
+  const netlist::Netlist& nl = ev.netlist();
   const std::vector<std::uint64_t> keys = stream_keys<A>(faults, begin, end);
   std::vector<std::size_t> live = live_faults(faults, begin, end, reach);
   if (live.empty()) return;
@@ -426,36 +504,74 @@ void grade_seq(Ev& ev, const std::vector<Fault>& faults, std::size_t begin,
   ev.save_state(reset);
   std::vector<std::vector<std::uint64_t>> state(
       batch_count(live.size(), kFaultLanes), reset);
+  std::vector<SeqCone> cones(state.size());
+  std::vector<std::uint8_t> mark;
+  std::vector<netlist::NetId> stale;
+  std::vector<std::pair<netlist::NetId, std::uint16_t>> moving;
   std::vector<std::uint8_t> active;  // kWindowed: lane j + 1 is forced
   for (std::size_t c0 = 0; c0 < stimulus.size(); c0 += kRepackSegment) {
     const std::size_t c1 = std::min(c0 + kRepackSegment, stimulus.size());
+    const std::uint16_t span =
+        static_cast<std::uint16_t>((std::uint32_t{1} << (c1 - c0)) - 1);
     for (std::size_t b = 0; b < state.size(); ++b) {
       const LaneBatch batch = lane_batch(live, b, kFaultLanes);
+      SeqCone& cone = cones[b];
+      std::size_t alive = 0;
+      for (std::size_t j = 0; j < batch.n; ++j) alive += !flags[batch.idx[j]];
+      if (alive != cone.alive) {
+        cut_cone(trace, nl, faults, batch, flags, observe, cone, mark);
+      }
       ev.load_state(state[b]);
       arm_lanes<A>(ev, faults, batch, active);
+      // Nothing but set_net writes a boundary net, so after the segment's
+      // first cycle only the nets whose fault-free value moves need it.
+      moving.clear();
+      for (netlist::NetId n : cone.boundary) {
+        const std::uint16_t bits = trace.window(c0 / kRepackSegment, n);
+        ev.set_net(n, bits & 1u);
+        if ((bits & span) != (bits & 1u ? span : 0)) {
+          moving.push_back({n, bits});
+        }
+      }
       std::uint64_t detected[W] = {};
       for (std::size_t c = c0; c < c1; ++c) {
         if constexpr (A == Activation::kWindowed) {
           toggle_lanes(ev, faults, batch, keys.data(), begin, c, active);
         }
-        for (std::size_t k = 0; k < inputs.size(); ++k) {
-          ev.set_input(inputs[k], stimulus.input_bit(c, k));
+        if (c > c0) {
+          for (const auto& [n, bits] : moving) {
+            ev.set_net(n, (bits >> (c - c0)) & 1u);
+          }
         }
-        // Every input changes each cycle, so the frontier is netlist-wide.
-        ev.request_full_eval();
-        ev.step();
+        ev.sweep(cone.gates);
         if (stimulus.observed(c)) {
-          for (netlist::NetId out : observe) {
+          for (netlist::NetId out : cone.observe) {
             for (unsigned w = 0; w < W; ++w) {
               detected[w] |= ev.diff_word(out, w, 0);
             }
           }
         }
+        ev.latch(cone.dffs);
       }
       flag_lanes(detected, batch, flags);
+      // The flip-flops outside the cone sat out the segment. Every lane
+      // that still matters holds their fault-free state at c0 and must
+      // leave with the fault-free next state; only those whose fault-free
+      // value moved over the segment need a write.
+      stale.clear();
+      for (netlist::NetId q : cone.frozen) {
+        const netlist::NetId d = nl.gate(q).in[0];
+        const bool next = trace.value(c1 - 1, d);
+        if (next == trace.value(c0, q)) continue;
+        ev.set_net(d, next);
+        stale.push_back(q);
+      }
+      ev.latch(stale);
       ev.save_state(state[b]);
     }
+    const std::size_t batches = state.size();
     if (!repack_lanes<W>(live, state, flags)) break;
+    if (state.size() != batches) cones.assign(state.size(), SeqCone{});
   }
 }
 

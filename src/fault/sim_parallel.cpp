@@ -102,19 +102,33 @@ void GradingPlan::add_seq(const EngineContext& ctx,
         "(launch/capture pattern pairs); grade them with add_comb or "
         "simulate_comb");
   }
+  const detail::SeqTrace* trace = &seq_trace(ctx, stimulus);
   const std::size_t chunk = chunk_faults(ctx);
   for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
     const std::size_t end = std::min(begin + chunk, faults.size());
-    tasks_.push_back([&ctx, &faults, &stimulus, flags, begin, end, act] {
-      ctx.grade_with_evaluator([&](auto& ev) {
-        detail::with_activation(act, [&](auto tag) {
-          detail::grade_seq<decltype(tag)::value>(ev, faults, begin, end,
-                                                  stimulus, ctx.observe(),
-                                                  ctx.reach(), flags);
+    tasks_.push_back(
+        [&ctx, &faults, &stimulus, trace, flags, begin, end, act] {
+          ctx.grade_with_evaluator([&](auto& ev) {
+            detail::with_activation(act, [&](auto tag) {
+              detail::grade_seq<decltype(tag)::value>(
+                  ev, faults, begin, end, stimulus, ctx.observe(), *trace,
+                  ctx.reach(), flags);
+            });
+          });
         });
-      });
-    });
   }
+}
+
+const detail::SeqTrace& GradingPlan::seq_trace(const EngineContext& ctx,
+                                               const SeqStimulus& stimulus) {
+  for (const SeqEntry& e : seq_storage_) {
+    if (e.ctx == &ctx && e.stimulus == &stimulus) return e.trace;
+  }
+  return seq_storage_
+      .emplace_back(&ctx, &stimulus,
+                    detail::make_seq_trace(ctx.netlist(), ctx.compiled(),
+                                           stimulus))
+      .trace;
 }
 
 void GradingPlan::run(ThreadPool& pool) {
@@ -133,6 +147,7 @@ std::vector<ThreadPool::TaskFailure> GradingPlan::run_capture(
   }
   tasks_.clear();
   cpt_storage_.clear();
+  seq_storage_.clear();
   return failures;
 }
 

@@ -3,7 +3,8 @@
 //
 // Both front doors grade the same contract as sim.hpp and are cross-checked
 // against the simulate_serial oracles (combinational and clocked) by the
-// differential tests in tests/test_fault_parallel.cpp:
+// differential tests in tests/test_fault_parallel.cpp, tests/test_cpt.cpp
+// and tests/test_seq_cone.cpp:
 //
 //  * simulate_comb_parallel: combinational grading. With
 //    SimOptions::lane_parallel (the default) every worker runs
@@ -13,7 +14,8 @@
 //    Without it, stuck-at, SEU and intermittent slices run block PPSFP
 //    (grade_blocks); transition faults always run critical-path tracing.
 //  * simulate_seq_parallel: sequential grading; workers run the lane-packed
-//    grade_seq over disjoint fault slices.
+//    grade_seq over disjoint fault slices, each lane batch sweeping only its
+//    live fault cone against one shared fault-free trace.
 //
 // Each chunk task grades one fault slice on one evaluator. grade_seq drops
 // detected faults and repacks the survivors into fewer lane batches every
@@ -114,7 +116,10 @@ class GradingPlan {
                 const PatternSet& patterns, bool lane_parallel,
                 CoverageResult& out);
 
-  /// Sequential grading of `faults` against the clocked `stimulus`.
+  /// Sequential grading of `faults` against the clocked `stimulus`. The
+  /// fault-free trace the cone-restricted kernel reads is recorded eagerly,
+  /// on the calling thread, once per (ctx, stimulus) pair and shared like
+  /// the critical-path tables.
   void add_seq(const EngineContext& ctx, const std::vector<Fault>& faults,
                const SeqStimulus& stimulus, CoverageResult& out);
 
@@ -144,14 +149,24 @@ class GradingPlan {
   const detail::CptTables& cpt_tables(const EngineContext& ctx,
                                       const PatternSet& patterns);
 
+  /// The fault-free trace of (ctx, stimulus), likewise.
+  const detail::SeqTrace& seq_trace(const EngineContext& ctx,
+                                    const SeqStimulus& stimulus);
+
   struct CptEntry {
     const EngineContext* ctx;
     const PatternSet* patterns;
     detail::CptTables tables;
   };
+  struct SeqEntry {
+    const EngineContext* ctx;
+    const SeqStimulus* stimulus;
+    detail::SeqTrace trace;
+  };
   std::vector<std::function<void()>> tasks_;
-  // deque keeps the references captured by queued tasks stable.
+  // deques keep the references captured by queued tasks stable.
   std::deque<CptEntry> cpt_storage_;
+  std::deque<SeqEntry> seq_storage_;
 };
 
 CoverageResult simulate_comb_parallel(const netlist::Netlist& nl,

@@ -37,6 +37,18 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl, const CompileOptions& opts)
   }
 
   build_order_and_fanout();
+  build_slots();
+}
+
+void CompiledNetlist::build_slots() {
+  slot_.assign(op_.size(), 0);
+  const std::vector<NetId>& inputs = nl_->inputs();
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    slot_[inputs[k]] = static_cast<std::uint32_t>(k);
+  }
+  for (std::size_t k = 0; k < dffs_.size(); ++k) {
+    slot_[dffs_[k]] = static_cast<std::uint32_t>(k);
+  }
 }
 
 // Fuses kBuf/kNot chains into per-pin invert bits, folds const-tied pins,
@@ -329,37 +341,18 @@ void CompiledNetlist::optimize() {
 
 void CompiledNetlist::build_order_and_fanout() {
   const std::size_t n = op_.size();
-  // Per-gate "union" input set: the optimized pins plus, for folded gates,
-  // the original pins (the fallback path reads them, so their changes must
-  // re-schedule the gate). DFF D edges are sequential and excluded.
-  auto for_each_union_input = [&](NetId g, auto&& fn) {
-    const GateKind kind = static_cast<GateKind>(op_[g]);
-    if (kind == GateKind::kDff) return;
-    for (unsigned p = 0; p < fanin_count(kind); ++p) {
-      const NetId s = in_[g * 3 + p];
-      if (s != kNoNet) fn(s);
-    }
-    if (!folded_.empty() && folded_[g]) {
-      const GateKind ok = static_cast<GateKind>(orig_op_[g]);
-      for (unsigned p = 0; p < fanin_count(ok); ++p) {
-        const NetId s = orig_in_[g * 3 + p];
-        if (s == kNoNet) continue;
-        bool dup = false;
-        for (unsigned q = 0; q < fanin_count(kind); ++q) {
-          if (in_[g * 3 + q] == s) dup = true;
-        }
-        if (!dup) fn(s);
-      }
-    }
-  };
-
+  // Edges are the "union" inputs for_each_read reports: the optimized pins
+  // plus, for folded gates, the original pins (the fallback path reads them,
+  // so their changes must re-schedule the gate). DFF D edges are sequential
+  // and excluded.
+  //
   // Levels from the (cycle-checked) topological order, which remains valid
   // for the union graph: fusion only retargets pins to transitive original
   // ancestors. DFF outputs are sources.
   for (NetId id : nl_->topo_order()) {
     if (static_cast<GateKind>(op_[id]) == GateKind::kDff) continue;
     std::uint32_t lvl = 0;
-    for_each_union_input(id, [&](NetId s) {
+    for_each_read(id, [&](NetId s) {
       lvl = std::max(lvl, level_[s] + 1);
     });
     level_[id] = lvl;
@@ -401,7 +394,7 @@ void CompiledNetlist::build_order_and_fanout() {
   fan_begin_.assign(n + 1, 0);
   for (NetId id = 0; id < n; ++id) {
     if (!live_[id]) continue;
-    for_each_union_input(id, [&](NetId s) { ++fan_begin_[s + 1]; });
+    for_each_read(id, [&](NetId s) { ++fan_begin_[s + 1]; });
   }
   for (std::size_t i = 1; i <= n; ++i) fan_begin_[i] += fan_begin_[i - 1];
   fan_.resize(fan_begin_[n]);
@@ -409,7 +402,7 @@ void CompiledNetlist::build_order_and_fanout() {
     std::vector<std::uint32_t> cursor(fan_begin_.begin(), fan_begin_.end() - 1);
     for (NetId id = 0; id < n; ++id) {
       if (!live_[id]) continue;
-      for_each_union_input(id, [&](NetId s) { fan_[cursor[s]++] = id; });
+      for_each_read(id, [&](NetId s) { fan_[cursor[s]++] = id; });
     }
   }
 }
@@ -566,6 +559,7 @@ std::unique_ptr<CompiledNetlist> CompiledNetlist::deserialize(
   for (const NetId g : cn->order_) {
     if (cn->level_[g] >= cn->n_levels_) return nullptr;
   }
+  cn->build_slots();
   return cn;
 }
 
@@ -580,15 +574,15 @@ CompiledEvaluatorT<W>::CompiledEvaluatorT(
       cn_(&cn),
       opt_(cn.options().any()),
       values_(cn.size() * W, 0),
-      inputs_(cn.size() * W, 0),
-      state_(cn.size() * W, 0),
+      inputs_(cn.netlist().inputs().size() * W, 0),
+      state_(cn.dffs_.size() * W, 0),
       out_f0_(cn.size() * W, 0),
       out_f1_(cn.size() * W, 0),
-      pin_f0_(cn.size() * 3 * W, 0),
-      pin_f1_(cn.size() * 3 * W, 0),
+      pin_f0_(W, 0),
+      pin_f1_(W, 0),
       out_forced_(cn.size(), 0),
       pin_forced_(cn.size(), 0),
-      pin_listed_(cn.size() * 3, 0),
+      pin_block_(cn.size() * 3, 0),
       fallback_cnt_(opt_ ? cn.size() : 0, 0),
       dispatch_(cn.size(), 0),
       queue_(cn.levels()),
@@ -643,12 +637,11 @@ void CompiledEvaluatorT<W>::invalidate_undo() {
 template <unsigned W>
 void CompiledEvaluatorT<W>::set_input_block(NetId net,
                                             const std::uint64_t* words) {
+  std::uint64_t* in = &inputs_[cn_->slot_[net] * W];
   bool changed = false;
-  for (unsigned i = 0; i < W; ++i) {
-    changed |= inputs_[net * W + i] != words[i];
-  }
+  for (unsigned i = 0; i < W; ++i) changed |= in[i] != words[i];
   if (!changed) return;
-  for (unsigned i = 0; i < W; ++i) inputs_[net * W + i] = words[i];
+  for (unsigned i = 0; i < W; ++i) in[i] = words[i];
   // The baseline shifts under the injected faults; teardown must
   // re-propagate instead of replaying stale blocks.
   if (has_faults_) invalidate_undo();
@@ -675,16 +668,19 @@ void CompiledEvaluatorT<W>::update_dispatch(NetId g) {
 template <unsigned W>
 void CompiledEvaluatorT<W>::force_slot(std::uint32_t slot, bool stuck_value,
                                        const std::uint64_t* lane_mask) {
-  // List on the explicit flag, not on "blocks were zero": release_block can
-  // zero an already-listed slot, and re-listing it would double-count
+  // List on the explicit index, not on "blocks were zero": release_block
+  // can zero an already-listed slot, and re-listing it would double-count
   // pin_forced_ (underflowing at teardown).
-  if (!pin_listed_[slot]) {
-    pin_listed_[slot] = 1;
+  if (!pin_block_[slot]) {
     touched_pin_.push_back(slot);
+    pin_block_[slot] = static_cast<std::uint32_t>(touched_pin_.size());
+    pin_f0_.resize(pin_f0_.size() + W, 0);
+    pin_f1_.resize(pin_f1_.size() + W, 0);
     ++pin_forced_[slot / 3];
     update_dispatch(slot / 3);
   }
-  std::uint64_t* f = stuck_value ? &pin_f1_[slot * W] : &pin_f0_[slot * W];
+  const std::size_t b = pin_block_[slot] * W;
+  std::uint64_t* f = stuck_value ? &pin_f1_[b] : &pin_f0_[b];
   for (unsigned i = 0; i < W; ++i) f[i] |= lane_mask[i];
 }
 
@@ -764,11 +760,15 @@ void CompiledEvaluatorT<W>::release_block(const Site& site,
       f1[i] &= ~lane_mask[i];
     }
   };
+  // An unlisted slot carries no force (and its block 0 must stay zero).
+  auto strip_slot = [&](std::uint32_t slot) {
+    const std::size_t b = pin_block_[slot] * W;
+    if (b != 0) strip(&pin_f0_[b], &pin_f1_[b]);
+  };
   if (site.is_output()) {
     strip(&out_f0_[site.gate * W], &out_f1_[site.gate * W]);
   } else {
-    strip(&pin_f0_[(site.gate * 3 + site.pin) * W],
-          &pin_f1_[(site.gate * 3 + site.pin) * W]);
+    strip_slot(site.gate * 3 + site.pin);
   }
   if (!full_pending_) schedule_live(site.gate);
   if (!opt_) return;
@@ -783,7 +783,7 @@ void CompiledEvaluatorT<W>::release_block(const Site& site,
     const CompiledNetlist::Remap& m = cn_->remap_[r];
     const NetId target = m.slot / 3;
     if (!cn_->live_[target]) continue;
-    strip(&pin_f0_[m.slot * W], &pin_f1_[m.slot * W]);
+    strip_slot(m.slot);
     if (!full_pending_) schedule(target);
   }
 }
@@ -814,13 +814,12 @@ void CompiledEvaluatorT<W>::clear_faults() {
     update_dispatch(g);
   }
   for (std::uint32_t slot : touched_pin_) {
-    for (unsigned i = 0; i < W; ++i) {
-      pin_f0_[slot * W + i] = pin_f1_[slot * W + i] = 0;
-    }
-    pin_listed_[slot] = 0;
+    pin_block_[slot] = 0;
     --pin_forced_[slot / 3];
     update_dispatch(slot / 3);
   }
+  pin_f0_.resize(W);
+  pin_f1_.resize(W);
   for (NetId g : touched_fallback_) {
     --fallback_cnt_[g];
     update_dispatch(g);
@@ -848,7 +847,9 @@ inline void CompiledEvaluatorT<W>::compute_plain(
   std::uint64_t a[W], b[W];
   switch (static_cast<GateKind>(cn_->op_[g])) {
     case GateKind::kInput:
-      for (unsigned i = 0; i < W; ++i) out[i] = inputs_[g * W + i];
+      for (unsigned i = 0; i < W; ++i) {
+        out[i] = inputs_[cn_->slot_[g] * W + i];
+      }
       break;
     case GateKind::kConst0:
       for (unsigned i = 0; i < W; ++i) out[i] = 0;
@@ -858,7 +859,7 @@ inline void CompiledEvaluatorT<W>::compute_plain(
       break;
     case GateKind::kDff:
       // Matches the reference evaluator: DFFs ignore pin forces on D.
-      for (unsigned i = 0; i < W; ++i) out[i] = state_[g * W + i];
+      for (unsigned i = 0; i < W; ++i) out[i] = state_[cn_->slot_[g] * W + i];
       break;
     case GateKind::kBuf:
       pin(0, out);
@@ -920,8 +921,8 @@ inline void CompiledEvaluatorT<W>::compute(
   const std::uint8_t inv = cn_->inv_[g];
   auto pin = [&](unsigned p, std::uint64_t* dst) SBST_ALWAYS_INLINE {
     const std::uint64_t* v = &values_[in[p] * W];
-    const std::uint64_t* pf0 = &pin_f0_[(g * 3 + p) * W];
-    const std::uint64_t* pf1 = &pin_f1_[(g * 3 + p) * W];
+    const std::uint64_t* pf0 = &pin_f0_[pin_block_[g * 3 + p] * W];
+    const std::uint64_t* pf1 = &pin_f1_[pin_block_[g * 3 + p] * W];
     const std::uint64_t m = (inv >> p) & 1u ? ~std::uint64_t{0} : 0;
     for (unsigned i = 0; i < W; ++i) {
       dst[i] = ((v[i] ^ m) | pf1[i]) & ~pf0[i];
@@ -930,7 +931,9 @@ inline void CompiledEvaluatorT<W>::compute(
   std::uint64_t a[W], b[W];
   switch (static_cast<GateKind>(cn_->op_[g])) {
     case GateKind::kInput:
-      for (unsigned i = 0; i < W; ++i) out[i] = inputs_[g * W + i];
+      for (unsigned i = 0; i < W; ++i) {
+        out[i] = inputs_[cn_->slot_[g] * W + i];
+      }
       break;
     case GateKind::kConst0:
       for (unsigned i = 0; i < W; ++i) out[i] = 0;
@@ -939,7 +942,7 @@ inline void CompiledEvaluatorT<W>::compute(
       for (unsigned i = 0; i < W; ++i) out[i] = ~std::uint64_t{0};
       break;
     case GateKind::kDff:
-      for (unsigned i = 0; i < W; ++i) out[i] = state_[g * W + i];
+      for (unsigned i = 0; i < W; ++i) out[i] = state_[cn_->slot_[g] * W + i];
       break;
     case GateKind::kBuf:
       pin(0, out);
@@ -1003,8 +1006,8 @@ inline void CompiledEvaluatorT<W>::compute_orig(
   const NetId* in = &cn_->orig_ins()[g * 3];
   auto pin = [&](unsigned p, std::uint64_t* dst) SBST_ALWAYS_INLINE {
     const std::uint64_t* v = &values_[in[p] * W];
-    const std::uint64_t* pf0 = &pin_f0_[(g * 3 + p) * W];
-    const std::uint64_t* pf1 = &pin_f1_[(g * 3 + p) * W];
+    const std::uint64_t* pf0 = &pin_f0_[pin_block_[g * 3 + p] * W];
+    const std::uint64_t* pf1 = &pin_f1_[pin_block_[g * 3 + p] * W];
     for (unsigned i = 0; i < W; ++i) {
       dst[i] = (v[i] | pf1[i]) & ~pf0[i];
     }
@@ -1066,11 +1069,11 @@ inline void CompiledEvaluatorT<W>::compute_orig(
 
 template <unsigned W>
 template <bool kForces>
-void CompiledEvaluatorT<W>::full_sweep() {
+void CompiledEvaluatorT<W>::sweep_gates(const std::vector<NetId>& gates) {
   // The unforced paths write straight into the gate's values_ block: routing
   // them through a shared local buffer merges the stores of every opcode
   // case behind one phi, which blocks SLP vectorization of the W-word loops.
-  for (NetId g : cn_->order_) {
+  for (NetId g : gates) {
     if constexpr (!kForces) {
       compute_plain(g, &values_[g * W]);
     } else {
@@ -1103,12 +1106,12 @@ void CompiledEvaluatorT<W>::full_sweep() {
 template <unsigned W>
 void CompiledEvaluatorT<W>::full_eval() {
   if (has_faults_) {
-    full_sweep<true>();
+    sweep_gates<true>(cn_->order_);
     // values_ now carry faulty blocks nobody recorded; a later undo replay
     // would restore garbage.
     invalidate_undo();
   } else {
-    full_sweep<false>();
+    sweep_gates<false>(cn_->order_);
   }
   // The sweep subsumes any queued events.
   for (auto& q : queue_) {
@@ -1182,20 +1185,41 @@ void CompiledEvaluatorT<W>::eval() {
 }
 
 template <unsigned W>
+void CompiledEvaluatorT<W>::sweep(const std::vector<NetId>& gates) {
+  if (has_faults_) {
+    sweep_gates<true>(gates);
+  } else {
+    sweep_gates<false>(gates);
+  }
+  gate_evals_ += gates.size();
+  partial_write();
+}
+
+template <unsigned W>
+void CompiledEvaluatorT<W>::latch(const std::vector<NetId>& dffs) {
+  for (NetId q : dffs) {
+    const NetId d = cn_->in_[q * 3];
+    std::uint64_t* st = &state_[cn_->slot_[q] * W];
+    for (unsigned i = 0; i < W; ++i) st[i] = values_[d * W + i];
+  }
+  partial_write();
+}
+
+template <unsigned W>
 void CompiledEvaluatorT<W>::step() {
   eval();
   bool state_changed = false;
-  for (NetId q : cn_->dffs_) {
+  for (std::size_t k = 0; k < cn_->dffs_.size(); ++k) {
+    const NetId q = cn_->dffs_[k];
     const NetId d = cn_->in_[q * 3];
     if (d == kNoNet) {
       throw std::logic_error("eval: DFF with unconnected D input");
     }
+    std::uint64_t* st = &state_[k * W];
     bool changed = false;
-    for (unsigned i = 0; i < W; ++i) {
-      changed |= state_[q * W + i] != values_[d * W + i];
-    }
+    for (unsigned i = 0; i < W; ++i) changed |= st[i] != values_[d * W + i];
     if (changed) {
-      for (unsigned i = 0; i < W; ++i) state_[q * W + i] = values_[d * W + i];
+      for (unsigned i = 0; i < W; ++i) st[i] = values_[d * W + i];
       state_changed = true;
       if (!full_pending_) schedule(q);
     }
@@ -1207,13 +1231,14 @@ template <unsigned W>
 void CompiledEvaluatorT<W>::reset_state(bool value) {
   const std::uint64_t w = value ? ~std::uint64_t{0} : 0;
   bool state_changed = false;
-  for (NetId q : cn_->dffs_) {
+  for (std::size_t k = 0; k < cn_->dffs_.size(); ++k) {
+    std::uint64_t* st = &state_[k * W];
     bool changed = false;
-    for (unsigned i = 0; i < W; ++i) changed |= state_[q * W + i] != w;
+    for (unsigned i = 0; i < W; ++i) changed |= st[i] != w;
     if (changed) {
-      for (unsigned i = 0; i < W; ++i) state_[q * W + i] = w;
+      for (unsigned i = 0; i < W; ++i) st[i] = w;
       state_changed = true;
-      if (!full_pending_) schedule(q);
+      if (!full_pending_) schedule(cn_->dffs_[k]);
     }
   }
   if (state_changed && has_faults_) invalidate_undo();
@@ -1221,19 +1246,12 @@ void CompiledEvaluatorT<W>::reset_state(bool value) {
 
 template <unsigned W>
 void CompiledEvaluatorT<W>::save_state(std::vector<std::uint64_t>& out) const {
-  const std::vector<NetId>& dffs = cn_->dffs_;
-  out.resize(dffs.size() * W);
-  for (std::size_t k = 0; k < dffs.size(); ++k) {
-    for (unsigned i = 0; i < W; ++i) out[k * W + i] = state_[dffs[k] * W + i];
-  }
+  out = state_;
 }
 
 template <unsigned W>
 void CompiledEvaluatorT<W>::load_state(const std::vector<std::uint64_t>& in) {
-  const std::vector<NetId>& dffs = cn_->dffs_;
-  for (std::size_t k = 0; k < dffs.size(); ++k) {
-    for (unsigned i = 0; i < W; ++i) state_[dffs[k] * W + i] = in[k * W + i];
-  }
+  std::copy(in.begin(), in.end(), state_.begin());
   invalidate_undo();
   full_pending_ = true;
 }

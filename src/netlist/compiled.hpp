@@ -15,9 +15,10 @@
 //    W-word block (uint64_t[W], W in {1, 4}) of 64*W independent lanes;
 //    the per-word inner loops are plain element-wise ops, so the
 //    autovectorizer emits SSE2/AVX2 for W=4 (see the SBST_NATIVE build
-//    knob). Forces live in dense per-net (stem) and per-pin-slot (branch,
-//    slot = gate*3 + pin) blocks — no hash map — and only the touched
-//    entries are reverted on clear_faults().
+//    knob). Forces live in dense per-net (stem) blocks and in per-pin-slot
+//    (branch, slot = gate*3 + pin) blocks handed out on a slot's first
+//    force — no hash map — and only the touched entries are reverted on
+//    clear_faults().
 //
 // Event-driven evaluation: every mutation (set_input, inject, clear_faults,
 // DFF state change) schedules the affected gate on a level-bucketed
@@ -28,6 +29,13 @@
 // (inject ... clear_faults with no input/state change in between), changed
 // blocks are recorded in an undo log so teardown restores the fault-free
 // baseline in O(touched) without re-evaluating anything.
+//
+// Partial evaluation: sweep(gates), latch(dffs) and set_net(net, value)
+// evaluate a given gate list with the full sweep's force dispatch, clock a
+// given flip-flop list, and write one net's broadcast value (and an input
+// net's stimulus). They bypass the event machinery, so the next eval() is a
+// full sweep. Cone-restricted sequential grading (src/fault) runs on them;
+// the reference Evaluator offers the same three.
 //
 // Compile-time optimization passes (CompileOptions, off by default so a
 // bare CompiledNetlist stays bit-for-bit the reference structure):
@@ -115,6 +123,18 @@ class CompiledNetlist {
   /// Number of combinational levels (sources are level 0).
   unsigned levels() const { return n_levels_; }
 
+  /// Live gates in full-sweep order: level-major, so every gate comes after
+  /// every net it reads.
+  const std::vector<NetId>& order() const { return order_; }
+  /// Live flip-flops, in save_state() order.
+  const std::vector<NetId>& dffs() const { return dffs_; }
+  /// Calls fn(net) for every net an evaluation of gate `g` may read: its
+  /// compiled pins and, for a const-folded gate, its original pins (the
+  /// fallback path under a force). A DFF reads none (its D net is read when
+  /// it latches).
+  template <class Fn>
+  void for_each_read(NetId g, const Fn& fn) const;
+
   /// Marks every gate in the transitive fanin of `roots` (roots included),
   /// traversing ORIGINAL combinational edges and DFF D edges — the
   /// pre-optimization structure, so the prefilter is identical for every
@@ -159,6 +179,7 @@ class CompiledNetlist {
       : nl_(&nl), opts_(opts) {}
 
   void build_order_and_fanout();
+  void build_slots();
   void optimize();
 
   const std::uint8_t* orig_ops() const {
@@ -182,6 +203,10 @@ class CompiledNetlist {
   std::vector<std::uint32_t> fan_begin_;  // CSR offsets into fan_, size n+1
   std::vector<NetId> fan_;                // combinational fanout targets (live)
   std::vector<NetId> dffs_;               // live DFFs
+  // Per net: an input's position in nl.inputs(), a live DFF's in dffs_;
+  // evaluators keep stimuli and state densely in that order. Derived, not
+  // serialized.
+  std::vector<std::uint32_t> slot_;
   // Fusion fault remap: per gate, the retargeted pin slots a force injected
   // on this gate must be copied to. Empty vectors when no pass ran.
   std::vector<std::uint32_t> remap_begin_;
@@ -192,6 +217,27 @@ class CompiledNetlist {
   std::vector<NetId> marker_;
   unsigned n_levels_ = 0;
 };
+
+template <class Fn>
+void CompiledNetlist::for_each_read(NetId g, const Fn& fn) const {
+  const GateKind kind = static_cast<GateKind>(op_[g]);
+  if (kind == GateKind::kDff) return;
+  for (unsigned p = 0; p < fanin_count(kind); ++p) {
+    const NetId s = in_[g * 3 + p];
+    if (s != kNoNet) fn(s);
+  }
+  if (folded_.empty() || !folded_[g]) return;
+  const GateKind ok = static_cast<GateKind>(orig_op_[g]);
+  for (unsigned p = 0; p < fanin_count(ok); ++p) {
+    const NetId s = orig_in_[g * 3 + p];
+    if (s == kNoNet) continue;
+    bool dup = false;
+    for (unsigned q = 0; q < fanin_count(kind); ++q) {
+      if (in_[g * 3 + q] == s) dup = true;
+    }
+    if (!dup) fn(s);
+  }
+}
 
 /// Drop-in replacement for Evaluator (same stimulus / inject / observe API)
 /// backed by a CompiledNetlist, evaluating W-word lane blocks per net.
@@ -294,6 +340,30 @@ class CompiledEvaluatorT {
   /// lane's baseline may have moved.
   void load_state(const std::vector<std::uint64_t>& in);
 
+  // ---- partial evaluation (cone-restricted sequential grading) ------------
+  //
+  // These bypass the event machinery: each leaves values_ consistent only
+  // on the nets it wrote, so the next eval() is a full sweep and the undo
+  // log is invalidated.
+
+  /// Evaluates exactly `gates`, in the given order (a subsequence of the
+  /// compiled sweep order), with the full sweep's force dispatch; every
+  /// other net keeps its value. Adds gates.size() to gate_evals().
+  void sweep(const std::vector<NetId>& gates);
+  /// Clocks exactly the flip-flops `dffs` (state <- D).
+  void latch(const std::vector<NetId>& dffs);
+  /// Writes scalar `value`, broadcast to every lane, onto `net` and, for an
+  /// input net, into its input shadow (the stimulus a later evaluation of
+  /// the net reads).
+  void set_net(NetId net, bool value) {
+    const std::uint64_t w = value ? ~std::uint64_t{0} : 0;
+    for (unsigned i = 0; i < W; ++i) values_[net * W + i] = w;
+    if (cn_->op_[net] == static_cast<std::uint8_t>(GateKind::kInput)) {
+      for (unsigned i = 0; i < W; ++i) inputs_[cn_->slot_[net] * W + i] = w;
+    }
+    partial_write();
+  }
+
   /// Marks the next eval() as a full sweep. Callers that change the whole
   /// stimulus at once (a lane-packed grader broadcasting a fresh pattern to
   /// every input) issue this instead of letting the worklist rediscover a
@@ -340,7 +410,11 @@ class CompiledEvaluatorT {
   SBST_ALWAYS_INLINE void compute_orig(NetId g,
                                        std::uint64_t* SBST_RESTRICT out) const;
   template <bool kForces>
-  void full_sweep();
+  void sweep_gates(const std::vector<NetId>& gates);
+  void partial_write() {
+    if (undo_active_) invalidate_undo();
+    full_pending_ = true;
+  }
   void full_eval();
   void event_eval();
   void schedule(NetId g);
@@ -357,22 +431,24 @@ class CompiledEvaluatorT {
   bool opt_;  // any optimization pass ran (enables the fallback machinery)
 
   std::vector<std::uint64_t> values_;  // net * W + word
-  std::vector<std::uint64_t> inputs_;
-  std::vector<std::uint64_t> state_;
+  std::vector<std::uint64_t> inputs_;  // input slot * W + word
+  std::vector<std::uint64_t> state_;   // DFF slot * W + word (dffs order)
 
   // Dense force stores; invariant: every gate/slot with a nonzero block is
   // listed in the corresponding touched_ vector and counted in the per-gate
   // bytes below, so teardown is O(touched) and the hot loop can skip force
   // loads for unforced gates.
   std::vector<std::uint64_t> out_f0_, out_f1_;  // net * W + word
-  std::vector<std::uint64_t> pin_f0_, pin_f1_;  // (gate*3 + pin) * W + word
+  // Pin forces are sparse: block b * W of pin_f0_ / pin_f1_ belongs to slot
+  // touched_pin_[b - 1], and block 0 stays zero for every unlisted slot.
+  std::vector<std::uint64_t> pin_f0_, pin_f1_;
   std::vector<std::uint8_t> out_forced_;        // per gate
   std::vector<std::uint8_t> pin_forced_;        // forced slots per gate (0..3)
-  // Per-slot membership of touched_pin_. Listing is decided by this flag —
-  // NOT by whether the force blocks are nonzero — so a slot whose lanes were
-  // all release_block()ed (blocks back to zero) is not double-listed (and
-  // pin_forced_ not double-counted) when re-injected.
-  std::vector<std::uint8_t> pin_listed_;
+  // Per slot (gate*3 + pin): its pin force block, 0 = unlisted. Listing is
+  // decided by this index — NOT by whether the force blocks are nonzero — so
+  // a slot whose lanes were all release_block()ed (blocks back to zero) is
+  // not double-listed (and pin_forced_ not double-counted) when re-injected.
+  std::vector<std::uint32_t> pin_block_;
   std::vector<std::uint16_t> fallback_cnt_;     // const-marker activations
   // Per-gate compute dispatch, folded from the force state above so the hot
   // loops do one predictable byte test instead of three scattered loads:

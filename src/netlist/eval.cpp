@@ -88,62 +88,55 @@ std::uint64_t Evaluator::fetch(NetId gate, unsigned pin) const {
   return v;
 }
 
-void Evaluator::eval() {
-  for (NetId id : nl_->topo_order()) {
-    const Gate& g = nl_->gate(id);
-    std::uint64_t v;
-    switch (g.kind) {
-      case GateKind::kInput:
-        v = inputs_[id];
-        break;
-      case GateKind::kConst0:
-        v = 0;
-        break;
-      case GateKind::kConst1:
-        v = ~std::uint64_t{0};
-        break;
-      case GateKind::kDff:
-        v = state_[id];
-        break;
-      case GateKind::kBuf:
-        v = fetch(id, 0);
-        break;
-      case GateKind::kNot:
-        v = ~fetch(id, 0);
-        break;
-      case GateKind::kAnd:
-        v = fetch(id, 0) & fetch(id, 1);
-        break;
-      case GateKind::kOr:
-        v = fetch(id, 0) | fetch(id, 1);
-        break;
-      case GateKind::kNand:
-        v = ~(fetch(id, 0) & fetch(id, 1));
-        break;
-      case GateKind::kNor:
-        v = ~(fetch(id, 0) | fetch(id, 1));
-        break;
-      case GateKind::kXor:
-        v = fetch(id, 0) ^ fetch(id, 1);
-        break;
-      case GateKind::kXnor:
-        v = ~(fetch(id, 0) ^ fetch(id, 1));
-        break;
-      case GateKind::kMux2: {
-        const std::uint64_t sel = fetch(id, 0);
-        v = (sel & fetch(id, 2)) | (~sel & fetch(id, 1));
-        break;
-      }
-      default:
-        throw std::logic_error("eval: unknown gate kind");
+inline std::uint64_t Evaluator::compute(NetId id) const {
+  const Gate& g = nl_->gate(id);
+  switch (g.kind) {
+    case GateKind::kInput:
+      return inputs_[id];
+    case GateKind::kConst0:
+      return 0;
+    case GateKind::kConst1:
+      return ~std::uint64_t{0};
+    case GateKind::kDff:
+      return state_[id];
+    case GateKind::kBuf:
+      return fetch(id, 0);
+    case GateKind::kNot:
+      return ~fetch(id, 0);
+    case GateKind::kAnd:
+      return fetch(id, 0) & fetch(id, 1);
+    case GateKind::kOr:
+      return fetch(id, 0) | fetch(id, 1);
+    case GateKind::kNand:
+      return ~(fetch(id, 0) & fetch(id, 1));
+    case GateKind::kNor:
+      return ~(fetch(id, 0) | fetch(id, 1));
+    case GateKind::kXor:
+      return fetch(id, 0) ^ fetch(id, 1);
+    case GateKind::kXnor:
+      return ~(fetch(id, 0) ^ fetch(id, 1));
+    case GateKind::kMux2: {
+      const std::uint64_t sel = fetch(id, 0);
+      return (sel & fetch(id, 2)) | (~sel & fetch(id, 1));
     }
-    values_[id] = apply_output_force(id, v);
+    default:
+      throw std::logic_error("eval: unknown gate kind");
   }
 }
 
+void Evaluator::sweep(const std::vector<NetId>& gates) {
+  for (NetId id : gates) values_[id] = apply_output_force(id, compute(id));
+}
+
+void Evaluator::eval() { sweep(nl_->topo_order()); }
+
 void Evaluator::step() {
   eval();
-  for (NetId q : nl_->dffs()) {
+  latch(nl_->dffs());
+}
+
+void Evaluator::latch(const std::vector<NetId>& dffs) {
+  for (NetId q : dffs) {
     const NetId d = nl_->gate(q).in[0];
     if (d == kNoNet) {
       throw std::logic_error("eval: DFF with unconnected D input");

@@ -124,6 +124,19 @@ class Evaluator {
   /// Restores DFF state saved by save_state() on this evaluator.
   void load_state(const std::vector<std::uint64_t>& in);
 
+  // ---- partial evaluation (cone-restricted sequential grading) ------------
+
+  /// Evaluates exactly `gates`, in the given topological order, with every
+  /// force applied; every other net keeps its value.
+  void sweep(const std::vector<NetId>& gates);
+  /// Clocks exactly the flip-flops `dffs` (state <- D).
+  void latch(const std::vector<NetId>& dffs);
+  /// Writes scalar `value`, broadcast, onto `net` and into its input shadow
+  /// (the stimulus a later evaluation of an input net reads).
+  void set_net(NetId net, bool value) {
+    values_[net] = inputs_[net] = value ? ~std::uint64_t{0} : 0;
+  }
+
   /// Raw 64-lane word on a net after eval().
   std::uint64_t value(NetId net) const { return values_[net]; }
   /// Word `w` of a net's lane block (w must be 0 here).
@@ -146,6 +159,9 @@ class Evaluator {
     return v;
   }
   std::uint64_t fetch(NetId gate, unsigned pin) const;
+  /// Gate `id`'s function of its (pin-forced) inputs, before its output
+  /// force.
+  std::uint64_t compute(NetId id) const;
 
   const Netlist* nl_;
   std::vector<std::uint64_t> values_;  // post-force values seen by fan-out

@@ -185,11 +185,14 @@ void print_engine_config(const fault::SimOptions& sim, std::FILE* err) {
   const unsigned lanes = fault::resolve_lanes(sim.lanes, sim.engine);
   const bool opt = sim.engine != fault::Engine::kReference &&
                    fault::resolve_compile_options(sim.netlist_opt).any();
+  // Lanes carry faults only in the sequential kernel; the combinational
+  // one packs patterns into them.
   std::fprintf(err,
-               "# config: engine %s, lanes %u (%u fault lanes/pass), "
+               "# config: engine %s, lanes %u (sequential CUTs %u fault "
+               "lanes/pass, combinational CUTs %u patterns/eval), "
                "netlist-opt %s\n",
                fault::engine_name(sim.engine), lanes, 64 * lanes - 1,
-               opt ? "on" : "off");
+               64 * lanes, opt ? "on" : "off");
 }
 
 void print_store_summary(const core::GradingSession& session,

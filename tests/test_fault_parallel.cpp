@@ -350,7 +350,8 @@ TEST(FaultParallel, SeqParallelOnCombNetlistMatchesSerial) {
 // checks that the kernel did exactly the work the oracle's prefix flags
 // predict.
 
-/// Counts evaluations (eval() or step() calls), i.e. lane-batch steps.
+/// Counts evaluations (eval() or cone sweep() calls), i.e. lane-batch
+/// steps.
 template <class Ev>
 class CountingEvaluator : public Ev {
  public:
@@ -359,9 +360,9 @@ class CountingEvaluator : public Ev {
     ++evals;
     Ev::eval();
   }
-  void step() {
+  void sweep(const std::vector<NetId>& gates) {
     ++evals;
-    Ev::step();
+    Ev::sweep(gates);
   }
   std::size_t evals = 0;
 };
@@ -525,11 +526,12 @@ void check_seq_repack(FaultModel model) {
     EXPECT_TRUE(window_straddles_a_boundary(faults, reach.data(), detected_at))
         << name;
   }
+  const detail::SeqTrace trace = detail::make_seq_trace(nl, &cn, st);
   auto kernel = [&](auto& ev, std::uint8_t* flags) {
     detail::with_activation(detail::activation_of(faults), [&](auto tag) {
       detail::grade_seq<decltype(tag)::value>(ev, faults, 0, faults.size(),
-                                              st, observe, reach.data(),
-                                              flags);
+                                              st, observe, trace,
+                                              reach.data(), flags);
     });
   };
   expect_kernel_repacks<1>(
