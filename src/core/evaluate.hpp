@@ -9,9 +9,10 @@
 // controller's MAR is A-VC and excluded from the periodic test).
 //
 // Evaluation is structured as a task graph over a GradingSession: a serial
-// traced run, then one flattened GradingPlan interleaving every CUT's
-// fault-chunk tasks on the session pool (cross-CUT parallelism without
-// oversubscription), then the standalone routine executions as a second
+// traced run, then one flattened GradingPlan on the session pool — every
+// CUT's table or trace preparation as one batch, then every CUT's
+// fault-chunk tasks interleaved as the next (cross-CUT parallelism without
+// oversubscription) — then the standalone routine executions as a last
 // task batch. Results are bitwise-identical for every engine, thread count,
 // and cache setting.
 #pragma once
@@ -180,7 +181,8 @@ struct EvalStageTimes {
   double trace = 0;       // combined traced run + signature readback
   double collapse = 0;    // fault-universe builds (collapsing)
   double compile = 0;     // netlist compile + observe sets + cone marking
-  double grade = 0;       // fault grading of every CUT (the task graph)
+  double grade = 0;       // fault grading of every CUT: the plan's two pool
+                          // batches, table/trace preparation then chunks
   double standalone = 0;  // standalone per-routine builds + executions
 };
 

@@ -151,7 +151,7 @@ std::vector<PeriodicResult> simulate_periodic_campaign(
     const std::vector<FaultProcess>& faults, std::size_t trials,
     std::uint64_t seed) {
   std::vector<PeriodicResult> out(faults.size());
-  pool.run_static(faults.size(), [&](std::size_t i) {
+  pool.run(faults.size(), [&](std::size_t i) {
     // Golden-ratio stream split: fault i always sees the same draws no
     // matter which worker runs it or how many workers exist.
     Rng rng(seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));

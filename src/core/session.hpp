@@ -16,7 +16,8 @@
 // the run parameters for program artifacts. So memory and disk can never
 // disagree about an artifact's identity. Every accessor takes the same
 // fetch path: memory hit, else store probe, else build, then write back.
-// Observe sets, cones and good-path tables have no codec and stay in memory.
+// Observe sets, cones, good-path tables and the default program have no
+// codec and stay in memory.
 //
 // Caching never changes results: artifacts are pure functions of their
 // keys, so ProgramEvaluation output is bitwise-identical with the cache on
@@ -120,6 +121,14 @@ struct GoodRun {
   std::vector<std::uint32_t> signatures;
 };
 
+/// The default self-test program of a model (all seven Table-1 routines):
+/// the builder that assembled it, which also builds the per-routine
+/// standalone programs, and the combined program.
+struct DefaultProgram {
+  TestProgramBuilder builder;
+  TestProgram program;
+};
+
 class GradingSession {
  public:
   explicit GradingSession(const ProcessorModel& model,
@@ -181,6 +190,13 @@ class GradingSession {
   std::shared_ptr<const GoodPathTable> good_path(
       const TestProgram& program, const sim::CpuConfig& config,
       CutId target);
+
+  /// The default program of the session's model under `codegen`, assembled
+  /// once per options and kept in memory only. Assembling it runs the
+  /// shifter routine's constrained ATPG, which a warm session thus skips.
+  /// The handout stays valid after a cache-off rebuild replaces the slot.
+  std::shared_ptr<const DefaultProgram> default_program(
+      const CodegenOptions& codegen = {});
 
   /// Named pattern set for a component, built by `build` on a cold miss.
   /// `tag` names the generator (e.g. "atpg-podem") and is part of the key,

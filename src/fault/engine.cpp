@@ -1,5 +1,8 @@
 #include "fault/engine.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/serialize.hpp"
 #include "fault/sim_detail.hpp"
 #include "store/artifact_store.hpp"
@@ -70,6 +73,17 @@ EngineContext::EngineContext(Engine engine, const netlist::Netlist& nl,
       owned_compiled_ = std::make_unique<netlist::CompiledNetlist>(nl, opts);
     }
     compiled_ = owned_compiled_.get();
+  }
+  // A net the dead sweep dropped is never evaluated, so observing it would
+  // report every fault behind it as undetected.
+  for (const netlist::NetId n : observe_) {
+    if (!compiled_->live(n)) {
+      throw std::invalid_argument(
+          "EngineContext: observe net " + std::to_string(n) +
+          " is not evaluated: the netlist passes swept it because no "
+          "declared output reads it; observe declared outputs, or compile "
+          "without netlist passes");
+    }
   }
   if (reach) {
     reach_ = reach;

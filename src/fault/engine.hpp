@@ -77,7 +77,10 @@ class EngineContext {
   /// set and this context compiles its own netlist, the persistent artifact
   /// store is probed first (keyed by netlist content hash + options + lane
   /// width) and written back after a from-scratch compile — results are
-  /// identical either way.
+  /// identical either way. For the event engine every observe net must be
+  /// one the compiled program evaluates (see CompiledNetlist::live); with
+  /// netlist passes on, that is the fanin of the declared outputs. Any
+  /// other net throws std::invalid_argument naming it.
   EngineContext(Engine engine, const netlist::Netlist& nl,
                 std::vector<netlist::NetId> observe,
                 const netlist::CompiledNetlist* compiled = nullptr,

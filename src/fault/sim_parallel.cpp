@@ -11,9 +11,9 @@ namespace {
 
 // Faults per fault-partitioned task: a multiple of the context's lane-packed
 // batch size (64 * lanes - 1), so grade_seq's batches start full and
-// repacking has several batches to merge; small enough that static striding
-// load-balances fault dropping, large enough to amortize per-task evaluator
-// construction.
+// repacking has several batches to merge; small enough that claim-next
+// scheduling can even out fault dropping and the few whole-cone chunks,
+// large enough to amortize per-task evaluator construction.
 // Depends only on the context (never the thread count), so chunk
 // boundaries stay deterministic (flags would not move anyway: each lane is
 // an independent machine).
@@ -50,7 +50,7 @@ void GradingPlan::add_comb(const EngineContext& ctx,
   // the production default, runs critical-path tracing.
   const detail::CptTables* cpt =
       lane_parallel || act == detail::Activation::kTransition
-          ? &cpt_tables(ctx, patterns)
+          ? &cpt_entry(ctx, patterns).tables
           : nullptr;
   const std::size_t chunk = chunk_faults(ctx);
   for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
@@ -75,16 +75,12 @@ void GradingPlan::add_comb(const EngineContext& ctx,
   }
 }
 
-const detail::CptTables& GradingPlan::cpt_tables(const EngineContext& ctx,
-                                                 const PatternSet& patterns) {
-  for (const CptEntry& e : cpt_storage_) {
-    if (e.ctx == &ctx && e.patterns == &patterns) return e.tables;
+GradingPlan::CptEntry& GradingPlan::cpt_entry(const EngineContext& ctx,
+                                              const PatternSet& patterns) {
+  for (CptEntry& e : cpt_storage_) {
+    if (e.ctx == &ctx && e.patterns == &patterns) return e;
   }
-  return cpt_storage_
-      .emplace_back(&ctx, &patterns,
-                    detail::make_cpt_tables(ctx.netlist(), patterns,
-                                            ctx.observe()))
-      .tables;
+  return cpt_storage_.emplace_back(&ctx, &patterns);
 }
 
 void GradingPlan::add_seq(const EngineContext& ctx,
@@ -102,7 +98,7 @@ void GradingPlan::add_seq(const EngineContext& ctx,
         "(launch/capture pattern pairs); grade them with add_comb or "
         "simulate_comb");
   }
-  const detail::SeqTrace* trace = &seq_trace(ctx, stimulus);
+  const detail::SeqTrace* trace = &seq_entry(ctx, stimulus).trace;
   const std::size_t chunk = chunk_faults(ctx);
   for (std::size_t begin = 0; begin < faults.size(); begin += chunk) {
     const std::size_t end = std::min(begin + chunk, faults.size());
@@ -119,16 +115,12 @@ void GradingPlan::add_seq(const EngineContext& ctx,
   }
 }
 
-const detail::SeqTrace& GradingPlan::seq_trace(const EngineContext& ctx,
-                                               const SeqStimulus& stimulus) {
-  for (const SeqEntry& e : seq_storage_) {
-    if (e.ctx == &ctx && e.stimulus == &stimulus) return e.trace;
+GradingPlan::SeqEntry& GradingPlan::seq_entry(const EngineContext& ctx,
+                                              const SeqStimulus& stimulus) {
+  for (SeqEntry& e : seq_storage_) {
+    if (e.ctx == &ctx && e.stimulus == &stimulus) return e;
   }
-  return seq_storage_
-      .emplace_back(&ctx, &stimulus,
-                    detail::make_seq_trace(ctx.netlist(), ctx.compiled(),
-                                           stimulus))
-      .trace;
+  return seq_storage_.emplace_back(&ctx, &stimulus);
 }
 
 void GradingPlan::run(ThreadPool& pool) {
@@ -138,16 +130,36 @@ void GradingPlan::run(ThreadPool& pool) {
 
 std::vector<ThreadPool::TaskFailure> GradingPlan::run_capture(
     ThreadPool& pool) {
+  // First batch: one task per registered entry builds its tables or trace.
+  // The builders only read the context's immutable artifacts (the netlist's
+  // topological order was warmed by the EngineContext).
+  const std::function<void(std::size_t)> prepare = [this](std::size_t i) {
+    if (i < cpt_storage_.size()) {
+      CptEntry& e = cpt_storage_[i];
+      e.tables = detail::make_cpt_tables(e.ctx->netlist(), *e.patterns,
+                                         e.ctx->observe());
+    } else {
+      SeqEntry& e = seq_storage_[i - cpt_storage_.size()];
+      e.trace = detail::make_seq_trace(e.ctx->netlist(), e.ctx->compiled(),
+                                       *e.stimulus);
+    }
+  };
+  std::vector<ThreadPool::TaskFailure> prep_failures = pool.run_capture(
+      cpt_storage_.size() + seq_storage_.size(), prepare);
+  // Second batch: the chunk tasks, indexed in add order.
   std::vector<ThreadPool::TaskFailure> failures;
-  if (!tasks_.empty()) {
+  if (prep_failures.empty()) {
     const std::function<void(std::size_t)> task = [this](std::size_t t) {
       tasks_[t]();
     };
-    failures = pool.run_static_capture(tasks_.size(), task);
+    failures = pool.run_capture(tasks_.size(), task);
   }
   tasks_.clear();
   cpt_storage_.clear();
   seq_storage_.clear();
+  if (!prep_failures.empty()) {
+    std::rethrow_exception(prep_failures.front().error);
+  }
   return failures;
 }
 

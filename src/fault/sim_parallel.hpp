@@ -37,7 +37,9 @@
 // a scheduler can interleave chunks from MANY gradings (different CUTs) plus
 // arbitrary extra tasks on one pool — cross-CUT parallelism with the
 // intra-CUT fault partitioning flattened into the same work queue, which is
-// what keeps the pool busy without ever oversubscribing.
+// what keeps the pool busy without ever oversubscribing. The per-CUT
+// preparation (critical-path tables, fault-free sequential traces) runs on
+// the same pool as a batch of its own, just before the chunks.
 //
 // Determinism: a fault's detection flag depends only on that fault, the
 // netlist, and the stimulus — never on which lane, batch, segment, thread,
@@ -82,7 +84,7 @@ struct SimOptions {
   int netlist_opt = -1;
   /// Externally owned worker pool; when set, grading runs on it instead of
   /// constructing a per-call pool. Must not currently be executing a
-  /// run_static batch (the pool is not reentrant).
+  /// batch (the pool is not reentrant).
   ThreadPool* pool = nullptr;
   /// Pre-compiled netlist for the event engine; must be compiled from
   /// the netlist being graded. nullptr = compile per call.
@@ -97,10 +99,11 @@ struct SimOptions {
 };
 
 /// Deferred fault-grading work: each add_*() call initializes its
-/// CoverageResult (total + zeroed flags) and appends chunk tasks that grade
-/// disjoint fault slices into it. Tasks from different gradings are
-/// independent (disjoint flag slices, private evaluators over shared
-/// immutable contexts) and may execute in any order or concurrently.
+/// CoverageResult (total + zeroed flags), registers the preparation its
+/// kernel needs and appends chunk tasks that grade disjoint fault slices
+/// into it. Tasks from different gradings are independent (disjoint flag
+/// slices, private evaluators over shared immutable contexts) and may
+/// execute in any order or concurrently.
 ///
 /// Lifetime: every EngineContext, fault list, stimulus, and CoverageResult
 /// passed in must outlive run(). Callers recount() each CoverageResult after
@@ -109,17 +112,18 @@ class GradingPlan {
  public:
   /// Combinational grading of `faults` against `patterns` (critical-path
   /// tracing, or block PPSFP without `lane_parallel`). Critical-path
-  /// gradings precompute their good baseline and region tables eagerly, on
-  /// the calling thread, once per (ctx, patterns) pair: gradings of several
-  /// fault models of one CUT share them.
+  /// gradings need a good baseline and region tables, one set per
+  /// (ctx, patterns) pair shared by the gradings of several fault models of
+  /// one CUT; this only registers the pair, and run() builds the tables on
+  /// the pool.
   void add_comb(const EngineContext& ctx, const std::vector<Fault>& faults,
                 const PatternSet& patterns, bool lane_parallel,
                 CoverageResult& out);
 
   /// Sequential grading of `faults` against the clocked `stimulus`. The
-  /// fault-free trace the cone-restricted kernel reads is recorded eagerly,
-  /// on the calling thread, once per (ctx, stimulus) pair and shared like
-  /// the critical-path tables.
+  /// fault-free trace the cone-restricted kernel reads is registered once
+  /// per (ctx, stimulus) pair, shared like the critical-path tables, and
+  /// recorded by run() on the pool.
   void add_seq(const EngineContext& ctx, const std::vector<Fault>& faults,
                const SeqStimulus& stimulus, CoverageResult& out);
 
@@ -132,37 +136,39 @@ class GradingPlan {
 
   std::size_t size() const { return tasks_.size(); }
 
-  /// Executes every queued task on `pool` (inline for a pool of size 1) and
-  /// clears the plan. Blocks until all tasks are done. A throwing task does
-  /// not stop the batch; the lowest-index captured exception is rethrown
-  /// after every task has run.
+  /// Executes the plan on `pool` (inline for a pool of size 1) in two
+  /// batches, then clears it: first one task per registered (ctx, patterns)
+  /// or (ctx, stimulus) pair builds its tables or trace, then every queued
+  /// task runs. Blocks until all tasks are done. A throwing task does not
+  /// stop its batch; the lowest-index captured exception is rethrown after
+  /// every task has run. A failed preparation is rethrown before any queued
+  /// task runs, since their gradings would read its tables.
   void run(ThreadPool& pool);
 
-  /// Like run() but returns captured task failures (indexed in add order)
-  /// instead of rethrowing, so campaign layers can degrade individual
-  /// faults to infra_error while the rest of the batch stands.
+  /// Like run() but returns captured failures of the queued tasks (indexed
+  /// in add order) instead of rethrowing, so campaign layers can degrade
+  /// individual faults to infra_error while the rest of the batch stands.
+  /// A failed preparation still throws.
   std::vector<ThreadPool::TaskFailure> run_capture(ThreadPool& pool);
 
  private:
-  /// The critical-path tables of (ctx, patterns), built on first use and
-  /// shared by every later grading of the same pair (one per fault model).
-  const detail::CptTables& cpt_tables(const EngineContext& ctx,
-                                      const PatternSet& patterns);
-
-  /// The fault-free trace of (ctx, stimulus), likewise.
-  const detail::SeqTrace& seq_trace(const EngineContext& ctx,
-                                    const SeqStimulus& stimulus);
-
   struct CptEntry {
     const EngineContext* ctx;
     const PatternSet* patterns;
-    detail::CptTables tables;
+    detail::CptTables tables;  // built by run()
   };
   struct SeqEntry {
     const EngineContext* ctx;
     const SeqStimulus* stimulus;
-    detail::SeqTrace trace;
+    detail::SeqTrace trace;  // built by run()
   };
+
+  /// The entry of (ctx, patterns), registered on first use and shared by
+  /// every later grading of the same pair (one per fault model).
+  CptEntry& cpt_entry(const EngineContext& ctx, const PatternSet& patterns);
+  /// The entry of (ctx, stimulus), likewise.
+  SeqEntry& seq_entry(const EngineContext& ctx, const SeqStimulus& stimulus);
+
   std::vector<std::function<void()>> tasks_;
   // deques keep the references captured by queued tasks stable.
   std::deque<CptEntry> cpt_storage_;

@@ -33,7 +33,7 @@ ThreadPool::ThreadPool(unsigned num_threads) {
   const unsigned extra = num_threads > 1 ? num_threads - 1 : 0;
   workers_.reserve(extra);
   for (unsigned w = 0; w < extra; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w + 1); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -46,20 +46,21 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::run_static(std::size_t count,
-                            const std::function<void(std::size_t)>& fn) {
-  std::vector<TaskFailure> failures = run_static_capture(count, fn);
+void ThreadPool::run(std::size_t count,
+                     const std::function<void(std::size_t)>& fn) {
+  std::vector<TaskFailure> failures = run_capture(count, fn);
   if (!failures.empty()) std::rethrow_exception(failures.front().error);
 }
 
-std::vector<ThreadPool::TaskFailure> ThreadPool::run_static_capture(
+std::vector<ThreadPool::TaskFailure> ThreadPool::run_capture(
     std::size_t count, const std::function<void(std::size_t)>& fn) {
   if (count == 0) return {};
   failures_.clear();
+  next_task_.store(0, std::memory_order_relaxed);
   if (workers_.empty()) {
     task_count_ = count;
     task_fn_ = &fn;
-    run_stride(0);
+    drain();
     task_fn_ = nullptr;
   } else {
     {
@@ -70,7 +71,7 @@ std::vector<ThreadPool::TaskFailure> ThreadPool::run_static_capture(
       ++generation_;
     }
     start_cv_.notify_all();
-    run_stride(0);  // the caller is worker 0
+    drain();  // the caller claims tasks too
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, [this] { return pending_workers_ == 0; });
     task_fn_ = nullptr;
@@ -82,7 +83,7 @@ std::vector<ThreadPool::TaskFailure> ThreadPool::run_static_capture(
   return std::move(failures_);
 }
 
-void ThreadPool::worker_loop(unsigned worker_index) {
+void ThreadPool::worker_loop() {
   std::uint64_t seen_generation = 0;
   for (;;) {
     {
@@ -93,7 +94,7 @@ void ThreadPool::worker_loop(unsigned worker_index) {
       if (stopping_) return;
       seen_generation = generation_;
     }
-    run_stride(worker_index);
+    drain();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --pending_workers_;
@@ -102,14 +103,19 @@ void ThreadPool::worker_loop(unsigned worker_index) {
   }
 }
 
-void ThreadPool::run_stride(unsigned worker_index) {
-  const unsigned stride = size();
-  for (std::size_t task = worker_index; task < task_count_; task += stride) {
+void ThreadPool::drain() {
+  // The batch's count and function were published under mutex_ before the
+  // generation bump (or on this very thread), so only the claim itself
+  // needs to be atomic.
+  for (;;) {
+    const std::size_t task =
+        next_task_.fetch_add(1, std::memory_order_relaxed);
+    if (task >= task_count_) return;
     try {
       (*task_fn_)(task);
     } catch (...) {
-      // Contain the failure to this task: record it and keep draining the
-      // stride, so the batch always completes and the pool stays usable.
+      // Contain the failure to this task: record it and keep claiming, so
+      // the batch always completes and the pool stays usable.
       std::lock_guard<std::mutex> lock(failure_mutex_);
       failures_.push_back({task, std::current_exception()});
     }

@@ -1,16 +1,22 @@
 // Fixed-size worker pool for fault-partitioned simulation.
 //
-// The pool hands out task indices with static striding: worker w executes
-// tasks w, w + size(), w + 2*size(), ...  The calling thread participates as
-// worker 0, so a pool of size 1 spawns no threads at all and runs the tasks
-// inline — handy both for determinism tests and for small fault lists where
+// The pool hands out task indices by claim-next: every worker, the calling
+// thread included, takes the lowest unclaimed index from one shared atomic
+// counter, runs it, and comes back for the next until none is left. A
+// worker that draws a long task simply claims fewer of the rest, so one
+// slow chunk cannot stack further work behind itself on the same worker.
+// Which worker runs which task therefore varies from run to run. A pool of
+// size 1 spawns no threads at all and runs the tasks inline, in index order,
+// which is handy both for determinism tests and for small fault lists where
 // thread startup would dominate.
 //
 // Determinism contract: tasks must write only to disjoint data (the fault
 // simulators give each task a disjoint slice of `detected_flags`), so the
-// merged result needs no locks and is bitwise-identical for any pool size.
+// order in which they run never matters: the merged result needs no locks
+// and is bitwise-identical for any pool size and any interleaving.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -53,31 +59,32 @@ class ThreadPool {
     std::exception_ptr error;
   };
 
-  /// Runs fn(task) for every task in [0, count) and blocks until all are
-  /// done. Tasks are assigned statically by stride (worker w gets tasks
-  /// w, w + size(), ...). A throwing task cannot poison the pool: the
-  /// exception is captured, every other task still runs, and the lowest-
-  /// index captured exception is rethrown after the batch completes — the
-  /// same one for any pool size, so error reporting stays deterministic.
-  void run_static(std::size_t count,
-                  const std::function<void(std::size_t)>& fn);
+  /// Runs fn(task) exactly once for every task in [0, count), claimed
+  /// next-first by whichever worker is free, and blocks until all are done.
+  /// A throwing task cannot poison the pool: the exception is captured,
+  /// every other task still runs, and the lowest-index captured exception
+  /// is rethrown after the batch completes — the same one for any pool size
+  /// and schedule, so error reporting stays deterministic.
+  void run(std::size_t count, const std::function<void(std::size_t)>& fn);
 
-  /// Like run_static but never throws on task failure: returns every
-  /// captured exception sorted by task index (empty when all tasks
-  /// succeeded). The campaign layer uses this to degrade single faults to
-  /// infra_error instead of aborting the whole batch.
-  std::vector<TaskFailure> run_static_capture(
+  /// Like run but never throws on task failure: returns every captured
+  /// exception sorted by task index (empty when all tasks succeeded). The
+  /// campaign layer uses this to degrade single faults to infra_error
+  /// instead of aborting the whole batch.
+  std::vector<TaskFailure> run_capture(
       std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:
-  void worker_loop(unsigned worker_index);
-  void run_stride(unsigned worker_index);
+  void worker_loop();
+  /// Claims and runs tasks until the batch has none left.
+  void drain();
 
   std::mutex mutex_;
   std::condition_variable start_cv_;
   std::condition_variable done_cv_;
   std::uint64_t generation_ = 0;
   std::size_t task_count_ = 0;
+  std::atomic<std::size_t> next_task_{0};
   const std::function<void(std::size_t)>* task_fn_ = nullptr;
   unsigned pending_workers_ = 0;
   bool stopping_ = false;

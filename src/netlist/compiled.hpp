@@ -123,6 +123,11 @@ class CompiledNetlist {
   /// Number of combinational levels (sources are level 0).
   unsigned levels() const { return n_levels_; }
 
+  /// True when evaluations compute net `n`: always without the dead sweep,
+  /// else only for the fanin of the declared outputs (and what the
+  /// const-fold fallbacks read).
+  bool live(NetId n) const { return live_[n] != 0; }
+
   /// Live gates in full-sweep order: level-major, so every gate comes after
   /// every net it reads.
   const std::vector<NetId>& order() const { return order_; }

@@ -212,14 +212,13 @@ int render_evaluate(GradingSession& session, const fault::SimOptions& sim,
   const std::vector<fault::FaultModel> models = resolve_models(fault_models);
   print_engine_config(sim, err);
   print_fault_model_config(models, err);
-  TestProgramBuilder builder;
-  builder.add_default_routines(session.model());
-  const TestProgram program = builder.build();
+  const std::shared_ptr<const DefaultProgram> program =
+      session.default_program();
   EvalOptions options;
   options.sim = sim;
   options.fault_models = models;
-  const ProgramEvaluation ev =
-      evaluate_program(session, builder, program, options);
+  const ProgramEvaluation ev = evaluate_program(session, program->builder,
+                                                program->program, options);
   if (default_models(models)) {
     // The legacy single-model table, byte-identical to the golden output.
     Table t({"Component", "FC (%)", "Miss. FC (%)"});
@@ -282,9 +281,8 @@ int render_campaign(GradingSession& session, const fault::SimOptions& sim,
   print_fault_model_config(models, err);
   const bool legacy = default_models(models);
   const ProcessorModel& model = session.model();
-  TestProgramBuilder builder;
-  builder.add_default_routines(model);
-  const TestProgram program = builder.build();
+  const std::shared_ptr<const DefaultProgram> program =
+      session.default_program();
   const auto t0 = std::chrono::steady_clock::now();
   OutcomeHistogram total;
   std::vector<std::string> header = {"Component", "Faults", "Sig", "Hang",
@@ -304,7 +302,7 @@ int render_campaign(GradingSession& session, const fault::SimOptions& sim,
         faults.resize(max_faults);
       }
       const OutcomeHistogram h = histogram_of(
-          run_injection_campaign(session, program, cut, faults, {}));
+          run_injection_campaign(session, program->program, cut, faults, {}));
       for (std::size_t k = 0; k < kRunOutcomeCount; ++k) {
         total.counts[k] += h.counts[k];
       }
@@ -536,7 +534,7 @@ struct ServerState {
   Journal* journal;
 
   // Serializes requests that drive the session's ThreadPool
-  // (evaluate/campaign): run_static_capture has exactly-one-caller
+  // (evaluate/campaign): ThreadPool::run_capture has exactly-one-caller
   // semantics. conform reads artifacts through the session's thread-safe
   // accessors and may overlap — unless the session cache is off, in which
   // case artifact slots are replaced under readers and EVERY work request

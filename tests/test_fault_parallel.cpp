@@ -5,11 +5,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -708,19 +713,117 @@ TEST(CoverageResult, MergeKeepsInvariant) {
   EXPECT_EQ(a.detected, 3u);
 }
 
+// ---- observe sets the compiled program never evaluates --------------------
+
+/// Six gates: a buffer (n2) that inverter fusion bypasses on its only
+/// reader, and an internal chain (n4 -> n5) that no declared output reads.
+/// With netlist passes on, the dead sweep drops both from the compiled
+/// program.
+struct SweptObserveShape {
+  Netlist nl{"swept_observe"};
+  NetId n2 = netlist::kNoNet, n3 = netlist::kNoNet, n5 = netlist::kNoNet,
+        n6 = netlist::kNoNet;
+
+  SweptObserveShape() {
+    const NetId a = nl.input("a"), b = nl.input("b"), c = nl.input("c");
+    const NetId n1 = nl.and_(a, b);
+    n2 = nl.buf(n1);
+    n3 = nl.or_(n2, c);
+    const NetId n4 = nl.xor_(a, c);
+    n5 = nl.not_(n4);
+    n6 = nl.nand_(n1, c);
+    nl.output("o3", n3);
+    nl.output("o6", n6);
+  }
+};
+
+void expect_swept_observe_rejected(const std::function<void()>& grade,
+                                   NetId net, const char* label) {
+  try {
+    grade();
+    ADD_FAILURE() << label << ": observing net " << net << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("observe net " + std::to_string(net)),
+              std::string::npos)
+        << label << ": " << e.what();
+  }
+}
+
+TEST(SweptObserve, EventEngineRejectsNetsItNeverEvaluates) {
+  SweptObserveShape s;
+  FaultUniverse u(s.nl);
+  const std::vector<Fault>& faults = u.collapsed();
+  Rng rng(61);
+  const PatternSet ps = random_patterns(rng, s.nl, 8);
+  const SeqStimulus st = random_stimulus(rng, s.nl, 8);
+  const ObserveSet fused{s.n3, s.n2};
+  const ObserveSet dead{s.n6, s.n5};
+  const SimOptions two{.num_threads = 2};
+  for (const auto& [obs, net] :
+       {std::pair{fused, s.n2}, std::pair{dead, s.n5}}) {
+    // Netlist passes on (the default): a structured error naming the net.
+    expect_swept_observe_rejected(
+        [&] { simulate_comb_parallel(s.nl, faults, ps, obs, two); }, net,
+        "comb");
+    expect_swept_observe_rejected(
+        [&] { simulate_seq_parallel(s.nl, faults, st, obs, two); }, net,
+        "seq");
+    // Passes off and the reference engine evaluate every net: the oracle's
+    // flags, which the swept program would have under-reported.
+    const CoverageResult comb_oracle = simulate_serial(s.nl, faults, ps, obs);
+    const CoverageResult seq_oracle = simulate_serial(s.nl, faults, st, obs);
+    for (const SimOptions& o :
+         {SimOptions{.num_threads = 2, .netlist_opt = 0},
+          SimOptions{.num_threads = 2, .engine = Engine::kReference}}) {
+      expect_same_flags(comb_oracle,
+                        simulate_comb_parallel(s.nl, faults, ps, obs, o), s.nl,
+                        faults, "comb/unswept");
+      expect_same_flags(seq_oracle,
+                        simulate_seq_parallel(s.nl, faults, st, obs, o), s.nl,
+                        faults, "seq/unswept");
+    }
+  }
+  // Declared outputs stay accepted with passes on.
+  expect_same_flags(simulate_serial(s.nl, faults, ps),
+                    simulate_comb_parallel(s.nl, faults, ps, {}, two), s.nl,
+                    faults, "comb/outputs");
+}
+
 // ---- thread pool -----------------------------------------------------------
 
 TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  for (unsigned threads : {1u, 2u, 5u}) {
+  for (unsigned threads : {1u, 2u, 5u, 8u}) {
     ThreadPool pool(threads);
     EXPECT_EQ(pool.size(), threads);
     std::vector<int> hits(1000, 0);
-    pool.run_static(hits.size(), [&](std::size_t t) { ++hits[t]; });
+    pool.run(hits.size(), [&](std::size_t t) { ++hits[t]; });
     for (int h : hits) EXPECT_EQ(h, 1);
     // The pool is reusable.
-    pool.run_static(hits.size(), [&](std::size_t t) { ++hits[t]; });
+    pool.run(hits.size(), [&](std::size_t t) { ++hits[t]; });
     for (int h : hits) EXPECT_EQ(h, 2);
   }
+}
+
+TEST(ThreadPool, BlockedTaskDoesNotStallLaterTasks) {
+  // Task 0 waits (a few seconds at most) until task 2 has run. A fixed
+  // stride at 2 threads deals both to the same worker, so task 2 could only
+  // start after task 0 gave up; claim-next hands it to the free worker.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool ran2 = false;
+  bool waited_for_2 = false;
+  pool.run(3, [&](std::size_t t) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (t == 0) {
+      waited_for_2 =
+          cv.wait_for(lock, std::chrono::seconds(5), [&] { return ran2; });
+    } else if (t == 2) {
+      ran2 = true;
+      cv.notify_all();
+    }
+  });
+  EXPECT_TRUE(waited_for_2) << "task 2 did not run while task 0 was blocked";
 }
 
 TEST(ThreadPool, ResolveThreadCountPrefersExplicit) {
@@ -773,7 +876,7 @@ TEST(ThreadPool, ThrowingTaskIsCapturedAndBatchCompletes) {
     ThreadPool pool(threads);
     std::vector<int> hits(64, 0);
     const std::vector<ThreadPool::TaskFailure> failures =
-        pool.run_static_capture(hits.size(), [&](std::size_t t) {
+        pool.run_capture(hits.size(), [&](std::size_t t) {
           if (t == 5 || t == 40) throw std::runtime_error("task failed");
           ++hits[t];
         });
@@ -791,7 +894,7 @@ TEST(ThreadPool, ThrowingTaskIsCapturedAndBatchCompletes) {
     }
     // The pool stays usable after a failed batch.
     const auto clean =
-        pool.run_static_capture(hits.size(), [&](std::size_t t) { ++hits[t]; });
+        pool.run_capture(hits.size(), [&](std::size_t t) { ++hits[t]; });
     EXPECT_TRUE(clean.empty());
     for (std::size_t t = 0; t < hits.size(); ++t) {
       EXPECT_EQ(hits[t], (t == 5 || t == 40) ? 1 : 2);
@@ -799,24 +902,61 @@ TEST(ThreadPool, ThrowingTaskIsCapturedAndBatchCompletes) {
   }
 }
 
-TEST(ThreadPool, RunStaticRethrowsLowestIndexAfterFinishingBatch) {
+TEST(ThreadPool, RunRethrowsLowestIndexAfterFinishingBatch) {
   ThreadPool pool(2);
   std::atomic<int> ran{0};
   try {
-    pool.run_static(32, [&](std::size_t t) {
+    pool.run(32, [&](std::size_t t) {
       if (t == 7) throw std::logic_error("seven");
       if (t == 3) throw std::runtime_error("three");
       ++ran;
     });
-    FAIL() << "run_static swallowed the task exceptions";
+    FAIL() << "run swallowed the task exceptions";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "three");  // lowest failing index wins
   }
   // Every non-throwing task completed before the rethrow.
   EXPECT_EQ(ran.load(), 30);
   // And the pool still works.
-  pool.run_static(8, [&](std::size_t) { ++ran; });
+  pool.run(8, [&](std::size_t) { ++ran; });
   EXPECT_EQ(ran.load(), 38);
+}
+
+TEST(GradingPlan, RunCaptureReportsAddTaskByAddOrderIndexAfterPreparation) {
+  // add_comb and add_seq register preparation (critical-path tables, a
+  // fault-free trace) that run() builds as a batch ahead of the queued
+  // tasks; a failing extra task is still reported by its add-order index.
+  Rng rng(91);
+  const Netlist comb = random_comb_netlist(rng, 6, 60);
+  const Netlist seq = random_seq_netlist(rng, 4, 6, 60);
+  const FaultUniverse uc(comb), us(seq);
+  const PatternSet ps = random_patterns(rng, comb, 100);
+  const SeqStimulus st = random_stimulus(rng, seq, 20);
+  const CoverageResult comb_oracle = simulate_serial(comb, uc.collapsed(), ps);
+  const CoverageResult seq_oracle = simulate_serial(seq, us.collapsed(), st);
+  for (unsigned threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    const EngineContext cctx(Engine::kEvent, comb, {});
+    const EngineContext sctx(Engine::kEvent, seq, {});
+    GradingPlan plan;
+    CoverageResult rc, rs;
+    plan.add_comb(cctx, uc.collapsed(), ps, true, rc);
+    plan.add_seq(sctx, us.collapsed(), st, rs);
+    const std::size_t throwing = plan.size();
+    plan.add_task([] { throw std::runtime_error("extra task failed"); });
+    std::atomic<int> after{0};
+    plan.add_task([&] { ++after; });
+    const std::vector<ThreadPool::TaskFailure> failures =
+        plan.run_capture(pool);
+    ASSERT_EQ(failures.size(), 1u) << "threads " << threads;
+    EXPECT_EQ(failures[0].task, throwing) << "threads " << threads;
+    EXPECT_EQ(after.load(), 1);
+    EXPECT_EQ(plan.size(), 0u);
+    rc.recount();
+    rs.recount();
+    expect_same_flags(comb_oracle, rc, comb, uc.collapsed(), "plan/comb");
+    expect_same_flags(seq_oracle, rs, seq, us.collapsed(), "plan/seq");
+  }
 }
 
 }  // namespace

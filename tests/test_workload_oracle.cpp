@@ -61,7 +61,7 @@ TEST(WorkloadOracle, SampledFaultsMatchSerialOracleOnEveryCutAndModel) {
       row.index.push_back(f);
     }
   }
-  session.pool().run_static(rows.size(), [&](std::size_t r) {
+  session.pool().run(rows.size(), [&](std::size_t r) {
     const CutCoverage& cc = production.cuts[r];
     const netlist::Netlist& nl = model.component(cc.id).netlist;
     std::vector<Fault> sample;
