@@ -407,21 +407,11 @@ std::shared_ptr<const GoodPathTable> GradingSession::good_path(
              }});
 }
 
-std::shared_ptr<const DefaultProgram> GradingSession::default_program(
-    const CodegenOptions& codegen) {
+std::shared_ptr<const DefaultProgram> GradingSession::default_program() {
   std::unique_lock<std::mutex> lock(mutex_);
-  common::ByteWriter key;
-  key.put_u32(codegen.misr_seed);
-  key.put_u32(codegen.misr_poly);
-  key.put_bool(codegen.schedule_for_no_forwarding);
-  key.put_u32(codegen.lfsr_iterations);
-  key.put_u32(codegen.atpg_backtrack_limit);
-  key.put_u32(codegen.atpg_random_warmup);
-  key.put_u64(codegen.seed);
   return fetch<DefaultProgram>(
-      lock, {.kind = "program", .key = key.take(), .build = [&] {
-               auto out = std::make_shared<DefaultProgram>(
-                   DefaultProgram{TestProgramBuilder(codegen), {}});
+      lock, {.kind = "program", .key = {}, .build = [&] {
+               auto out = std::make_shared<DefaultProgram>();
                out->builder.add_default_routines(*model_);
                out->program = out->builder.build();
                return out;

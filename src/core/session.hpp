@@ -191,12 +191,11 @@ class GradingSession {
       const TestProgram& program, const sim::CpuConfig& config,
       CutId target);
 
-  /// The default program of the session's model under `codegen`, assembled
-  /// once per options and kept in memory only. Assembling it runs the
-  /// shifter routine's constrained ATPG, which a warm session thus skips.
-  /// The handout stays valid after a cache-off rebuild replaces the slot.
-  std::shared_ptr<const DefaultProgram> default_program(
-      const CodegenOptions& codegen = {});
+  /// The default program of the session's model (default codegen options),
+  /// assembled once and kept in memory only. Assembling it runs the shifter
+  /// routine's constrained ATPG, which a warm session thus skips. The
+  /// handout stays valid after a cache-off rebuild replaces the slot.
+  std::shared_ptr<const DefaultProgram> default_program();
 
   /// Named pattern set for a component, built by `build` on a cold miss.
   /// `tag` names the generator (e.g. "atpg-podem") and is part of the key,

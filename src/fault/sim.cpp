@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "fault/sim_detail.hpp"
 #include "fault/sim_parallel.hpp"
@@ -118,6 +119,12 @@ CptTables make_cpt_tables(const Netlist& nl, const PatternSet& patterns,
 SeqTrace make_seq_trace(const Netlist& nl,
                         const netlist::CompiledNetlist* compiled,
                         const SeqStimulus& stimulus) {
+  if (stimulus.netlist().inputs().size() != nl.inputs().size()) {
+    throw std::invalid_argument(
+        "make_seq_trace: the stimulus drives " +
+        std::to_string(stimulus.netlist().inputs().size()) +
+        " inputs, the netlist has " + std::to_string(nl.inputs().size()));
+  }
   SeqTrace t;
   const std::size_t n = nl.size();
   t.order = compiled ? compiled->order() : nl.topo_order();

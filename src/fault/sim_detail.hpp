@@ -448,7 +448,9 @@ struct SeqTrace {
 
 /// Records the fault-free run of `stimulus` on `compiled` (a W=1 compiled
 /// evaluator) or, when it is null, on the netlist with the reference
-/// Evaluator, and tabulates the program structure.
+/// Evaluator, and tabulates the program structure. Throws
+/// std::invalid_argument if the stimulus was written for a netlist with a
+/// different number of inputs.
 SeqTrace make_seq_trace(const netlist::Netlist& nl,
                         const netlist::CompiledNetlist* compiled,
                         const SeqStimulus& stimulus);

@@ -959,5 +959,33 @@ TEST(GradingPlan, RunCaptureReportsAddTaskByAddOrderIndexAfterPreparation) {
   }
 }
 
+TEST(GradingPlan, FailedPreparationThrowsBeforeAnyQueuedTaskRuns) {
+  // A trace build that throws (a stimulus written for a netlist of another
+  // input width) fails run_capture before any chunk or extra task runs, in
+  // capture mode too, and leaves the plan empty and reusable.
+  Rng rng(92);
+  const Netlist seq = random_seq_netlist(rng, 4, 6, 60);
+  const Netlist wider = random_seq_netlist(rng, 5, 6, 60);
+  const FaultUniverse us(seq);
+  const SeqStimulus st = random_stimulus(rng, wider, 20);
+  for (unsigned threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    const EngineContext sctx(Engine::kEvent, seq, {});
+    GradingPlan plan;
+    std::atomic<int> ran{0};
+    plan.add_task([&] { ++ran; });
+    CoverageResult rs;
+    plan.add_seq(sctx, us.collapsed(), st, rs);
+    plan.add_task([&] { ++ran; });
+    EXPECT_THROW(plan.run_capture(pool), std::invalid_argument)
+        << "threads " << threads;
+    EXPECT_EQ(ran.load(), 0) << "threads " << threads;
+    EXPECT_EQ(plan.size(), 0u);
+    plan.add_task([&] { ++ran; });
+    EXPECT_TRUE(plan.run_capture(pool).empty());
+    EXPECT_EQ(ran.load(), 1) << "threads " << threads;
+  }
+}
+
 }  // namespace
 }  // namespace sbst::fault

@@ -4,13 +4,9 @@
 // results for every cache setting, evaluation engine, and thread count.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,7 +14,6 @@
 #include "core/evaluate.hpp"
 #include "core/inject.hpp"
 #include "isa/assembler.hpp"
-#include "serve/serve.hpp"
 #include "store/artifact_store.hpp"
 
 namespace sbst::core {
@@ -421,87 +416,6 @@ TEST(GradingSession, GoodPathKeyCoversEveryFieldPerCut) {
   // Good paths are memory-only and uncounted.
   const SessionStats stats = session.stats();
   EXPECT_EQ(stats.goodrun_builds + stats.goodrun_hits, 0u);
-}
-
-// ---- the default program artifact ------------------------------------------
-
-std::string golden(const std::string& name) {
-  std::ifstream in(std::string(SBST_GOLDEN_DIR) + "/" + name,
-                   std::ios::binary);
-  EXPECT_TRUE(in) << name;
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  return bytes.str();
-}
-
-/// The stdout one render writes (stderr is dropped).
-std::string rendered(const std::function<int(std::FILE*, std::FILE*)>& render) {
-  char* out_buf = nullptr;
-  std::size_t out_len = 0;
-  std::FILE* out = open_memstream(&out_buf, &out_len);
-  std::FILE* err = std::fopen("/dev/null", "w");
-  EXPECT_EQ(render(out, err), 0);
-  std::fclose(out);
-  std::fclose(err);
-  std::string text(out_buf, out_len);
-  std::free(out_buf);
-  return text;
-}
-
-/// `sbst evaluate` and `sbst campaign` stdout, rendered on `session`.
-std::string render_evaluate(GradingSession& session,
-                            const serve::ServeOptions& options) {
-  return rendered([&](std::FILE* out, std::FILE* err) {
-    return serve::render_evaluate(session, options.sim, false, out, err);
-  });
-}
-std::string render_campaign(GradingSession& session,
-                            const serve::ServeOptions& options) {
-  return rendered([&](std::FILE* out, std::FILE* err) {
-    return serve::render_campaign(
-        session, options.sim, options.max_faults,
-        {CutId::kAlu, CutId::kShifter, CutId::kMultiplier}, out, err);
-  });
-}
-
-TEST(DefaultProgram, RendersShareOneCachedProgramAndMatchTheGoldens) {
-  const ProcessorModel& model = fixture().model;
-  serve::ServeOptions options;
-  options.sim.num_threads = 2;
-  GradingSession session(model, serve::session_options(options, nullptr));
-  const std::string evaluate = golden("sbst_evaluate.stdout");
-  const std::string campaign = golden("sbst_campaign.stdout");
-
-  EXPECT_EQ(render_evaluate(session, options), evaluate);
-  const std::shared_ptr<const DefaultProgram> first =
-      session.default_program();
-  EXPECT_EQ(render_evaluate(session, options), evaluate);
-  EXPECT_EQ(render_campaign(session, options), campaign);
-  EXPECT_EQ(render_campaign(session, options), campaign);
-  // Every render handed out the one object built by the first.
-  EXPECT_EQ(session.default_program().get(), first.get());
-  // The codegen options key the slot.
-  CodegenOptions other;
-  other.seed = 2;
-  EXPECT_NE(session.default_program(other).get(), first.get());
-}
-
-TEST(DefaultProgram, CacheOffRebuildsAndRendersTheSameBytes) {
-  const ProcessorModel& model = fixture().model;
-  serve::ServeOptions options;
-  options.sim.num_threads = 2;
-  options.session_cache = false;
-  GradingSession session(model, serve::session_options(options, nullptr));
-  const std::shared_ptr<const DefaultProgram> first =
-      session.default_program();
-  EXPECT_NE(session.default_program().get(), first.get());
-  // The replaced handout stays valid and equal to its rebuild.
-  EXPECT_EQ(first->program.image.words,
-            session.default_program()->program.image.words);
-  EXPECT_EQ(render_evaluate(session, options),
-            golden("sbst_evaluate.stdout"));
-  EXPECT_EQ(render_campaign(session, options),
-            golden("sbst_campaign.stdout"));
 }
 
 }  // namespace
