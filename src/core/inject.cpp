@@ -131,6 +131,8 @@ GoodPathTable::GoodPathTable(const netlist::Netlist& nl, CutId target,
   netlist::Evaluator ev(nl);
   const std::vector<netlist::NetId>& inputs = nl.inputs();
   good_.reserve(n);
+  net_count_ = nl.size();
+  nets_.reserve(tuples_.block_count() * net_count_);
   for (std::size_t block = 0; block < tuples_.block_count(); ++block) {
     const std::vector<std::uint64_t>& words = tuples_.block(block);
     for (std::size_t k = 0; k < inputs.size(); ++k) {
@@ -140,6 +142,9 @@ GoodPathTable::GoodPathTable(const netlist::Netlist& nl, CutId target,
     const std::size_t lanes = std::min<std::size_t>(64, n - block * 64);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       good_.push_back(ev.bus_value(out, static_cast<unsigned>(lane)));
+    }
+    for (netlist::NetId net = 0; net < nl.size(); ++net) {
+      nets_.push_back(ev.value(net));
     }
   }
   std::size_t capacity = 2;
@@ -201,11 +206,34 @@ void GateLevelFaultInjector::init(const fault::Fault& fault) {
       port_out_ = &nl_->output_port("product");
       break;
   }
-  if (fault.model == fault::FaultModel::kTransition) {
-    line_ = std::make_unique<LineProbe>(
-        *nl_, fault.site.is_output()
+  site_net_ = fault.site.is_output()
                   ? fault.site.gate
-                  : nl_->gate(fault.site.gate).in[fault.site.pin]);
+                  : nl_->gate(fault.site.gate).in[fault.site.pin];
+  if (fault.model == fault::FaultModel::kTransition) line_memo_.emplace();
+}
+
+GateLevelFaultInjector::SiteCone::SiteCone(const netlist::Netlist& nl,
+                                           netlist::NetId site_net)
+    : eval(nl) {
+  // Iterative DFS over the fanins; a gate is emitted after all of its
+  // fanins (post-order), which is a topological order of the cone.
+  std::vector<std::uint8_t> seen(nl.size(), 0);
+  std::vector<std::pair<netlist::NetId, unsigned>> stack{{site_net, 0u}};
+  seen[site_net] = 1;
+  while (!stack.empty()) {
+    const netlist::NetId g = stack.back().first;
+    const netlist::Gate& gate = nl.gate(g);
+    const unsigned pin = stack.back().second++;
+    if (pin < netlist::fanin_count(gate.kind)) {
+      const netlist::NetId in = gate.in[pin];
+      if (in != netlist::kNoNet && !seen[in]) {
+        seen[in] = 1;
+        stack.emplace_back(in, 0u);
+      }
+    } else {
+      gates.push_back(g);
+      stack.pop_back();
+    }
   }
 }
 
@@ -230,13 +258,24 @@ GateLevelFaultInjector::GateLevelFaultInjector(
 }
 
 template <class Eval>
-void GateLevelFaultInjector::drive_and_eval(Eval& ev, std::uint32_t op,
-                                            std::uint32_t a,
-                                            std::uint32_t b) const {
+void GateLevelFaultInjector::drive(Eval& ev, std::uint32_t op,
+                                   std::uint32_t a, std::uint32_t b) const {
   ev.set_bus(*port_a_, a);
   ev.set_bus(*port_b_, b);
   if (port_op_) ev.set_bus(*port_op_, op);
-  ev.eval();
+}
+
+bool GateLevelFaultInjector::site_value(std::uint32_t op, std::uint32_t a,
+                                        std::uint32_t b) {
+  if (line_memo_) {
+    if (const std::uint64_t* hit = line_memo_->find(op, a, b)) return *hit;
+  }
+  if (!site_) site_ = std::make_unique<SiteCone>(*nl_, site_net_);
+  drive(site_->eval, op, a, b);
+  site_->eval.sweep(site_->gates);
+  const bool v = site_->eval.value(site_net_) & 1u;
+  if (line_memo_) line_memo_->store(op, a, b, v);
+  return v;
 }
 
 bool GateLevelFaultInjector::active(std::uint32_t op, std::uint32_t a,
@@ -248,14 +287,7 @@ bool GateLevelFaultInjector::active(std::uint32_t op, std::uint32_t a,
       // Launch/capture at operation granularity: the slow transition only
       // corrupts this operation if the fault-free line sat at the slow value
       // sv on the previous operation and should be !sv now.
-      bool lv;
-      if (const std::uint64_t* hit = line_->memo.find(op, a, b)) {
-        lv = *hit != 0;
-      } else {
-        drive_and_eval(line_->eval, op, a, b);
-        lv = line_->eval.value(line_->line) & 1u;
-        line_->memo.store(op, a, b, lv);
-      }
+      const bool lv = site_value(op, a, b);
       const bool on = prev_line_sv_ && lv != fault_.stuck_value;
       prev_line_sv_ = lv == fault_.stuck_value;
       return on;
@@ -278,24 +310,29 @@ void GateLevelFaultInjector::arm(Eval& ev) {
 std::uint64_t GateLevelFaultInjector::good_path_result(std::size_t i) {
   const std::size_t block = i / 64;
   if (!swept_[block]) {
-    // One forced sweep answers the block's 64 tuples: the CUT is
-    // combinational and the force sits in every lane, so lane k computes
-    // exactly what a single-tuple evaluation of tuple k would.
-    comp_eval_->request_full_eval();
-    arm(*comp_eval_);
-    const std::vector<std::uint64_t>& words =
-        good_path_->tuples().block(block);
-    const std::vector<netlist::NetId>& inputs = nl_->inputs();
-    for (std::size_t k = 0; k < inputs.size(); ++k) {
-      comp_eval_->set_input_word(inputs[k], words[k]);
-    }
-    comp_eval_->eval();
     const std::size_t base = block * 64;
     const std::size_t lanes = std::min<std::size_t>(64, diff_.size() - base);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      diff_[base + lane] =
-          comp_eval_->bus_value(*port_out_, static_cast<unsigned>(lane)) ^
-          good_path_->good(base + lane);
+    const std::uint64_t live =
+        lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+    // A block in which no tuple excites the fault keeps diff 0.
+    if (excited(good_path_->net_word(block, site_net_)) & live) {
+      // One forced sweep answers the block's 64 tuples: the CUT is
+      // combinational and the force sits in every lane, so lane k computes
+      // exactly what a single-tuple evaluation of tuple k would.
+      comp_eval_->request_full_eval();
+      arm(*comp_eval_);
+      const std::vector<std::uint64_t>& words =
+          good_path_->tuples().block(block);
+      const std::vector<netlist::NetId>& inputs = nl_->inputs();
+      for (std::size_t k = 0; k < inputs.size(); ++k) {
+        comp_eval_->set_input_word(inputs[k], words[k]);
+      }
+      comp_eval_->eval();
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        diff_[base + lane] =
+            comp_eval_->bus_value(*port_out_, static_cast<unsigned>(lane)) ^
+            good_path_->good(base + lane);
+      }
     }
     swept_[block] = 1;
   }
@@ -304,23 +341,32 @@ std::uint64_t GateLevelFaultInjector::good_path_result(std::size_t i) {
 
 std::uint64_t GateLevelFaultInjector::faulty_result(std::uint32_t op,
                                                     std::uint32_t a,
-                                                    std::uint32_t b) {
+                                                    std::uint32_t b,
+                                                    std::uint64_t good) {
   if (good_path_) {
     const std::size_t i = good_path_->find(op, a, b);
     if (i != GoodPathTable::kNotFound) return good_path_result(i);
   }
   if (const std::uint64_t* hit = results_.find(op, a, b)) return *hit;
+  ++off_path_tuples_;
+  std::uint64_t r = good;
   const auto evaluate = [&](auto& ev) {
     // The whole stimulus changes between two evaluations: sweep, and ask
     // for it before driving the inputs so they queue no events.
     ev.request_full_eval();
     arm(ev);
-    drive_and_eval(ev, op, a, b);
+    drive(ev, op, a, b);
+    ev.eval();
+    ++off_path_evals_;
     return ev.bus_value(*port_out_);
   };
-  const std::uint64_t r =
-      comp_eval_ ? evaluate(*comp_eval_) : evaluate(*ref_eval_);
-  ++off_path_evals_;
+  // The reference form sweeps every active tuple: it is the oracle of the
+  // excitation screen.
+  if (!comp_eval_) {
+    r = evaluate(*ref_eval_);
+  } else if (excited(site_value(op, a, b)) & 1u) {
+    r = evaluate(*comp_eval_);
+  }
   results_.store(op, a, b, r);
   return r;
 }
@@ -330,7 +376,7 @@ std::uint64_t GateLevelFaultInjector::resolve(std::uint32_t op,
                                               std::uint32_t b,
                                               std::uint64_t good) {
   if (!active(op, a, b)) return good;
-  const std::uint64_t r = faulty_result(op, a, b);
+  const std::uint64_t r = faulty_result(op, a, b, good);
   if (r != good) ++corrupted_;
   return r;
 }

@@ -132,10 +132,11 @@ sim::StoreGuard store_guard_for(const struct TestProgram& program);
 
 /// The good path of one injectable CUT under one test program: the distinct
 /// (op, a, b) tuples the fault-free run applies to it, in first-use order,
-/// with the fault-free output of each and a tuple -> index lookup. The
-/// tuples stay in the TraceCollector's PatternSet — 64-lane blocks in
-/// netlist input order — so a campaign injector answers 64 of them per
-/// netlist sweep. Immutable once built; campaign workers share one
+/// with the fault-free output of each, every net's fault-free value per
+/// 64-tuple block (a campaign injector's excitation test) and a tuple ->
+/// index lookup. The tuples stay in the TraceCollector's PatternSet —
+/// 64-lane blocks in netlist input order — so a campaign injector answers 64
+/// of them per netlist sweep. Immutable once built; campaign workers share one
 /// read-only (GradingSession::good_path caches it per program and CUT).
 class GoodPathTable {
  public:
@@ -158,6 +159,11 @@ class GoodPathTable {
   const Tuple& tuple(std::size_t i) const { return tuple_[i]; }
   /// Fault-free output bus of tuple `i`.
   std::uint64_t good(std::size_t i) const { return good_[i]; }
+  /// Fault-free value of `net` in the 64 lanes of block `block` (lane k
+  /// holds tuple 64 * block + k).
+  std::uint64_t net_word(std::size_t block, netlist::NetId net) const {
+    return nets_[block * net_count_ + net];
+  }
   /// Index of the tuple, or kNotFound when the good run never applied it.
   std::size_t find(std::uint32_t op, std::uint32_t a, std::uint32_t b) const {
     for (std::size_t s = hash(op, a, b) & mask_;; s = (s + 1) & mask_) {
@@ -171,7 +177,7 @@ class GoodPathTable {
  private:
   /// Tabulates `tuples`, distinct patterns over the input ports of
   /// `target`'s netlist `nl`: decodes every tuple and evaluates every block
-  /// fault-free on the reference Evaluator.
+  /// fault-free on the reference Evaluator, keeping every net's value.
   GoodPathTable(const netlist::Netlist& nl, CutId target,
                 fault::PatternSet tuples);
 
@@ -185,6 +191,8 @@ class GoodPathTable {
   fault::PatternSet tuples_;
   std::vector<Tuple> tuple_;
   std::vector<std::uint64_t> good_;
+  std::size_t net_count_ = 0;
+  std::vector<std::uint64_t> nets_;  // every net's word, block-major
   // Open addressing at load <= 1/2: tuple index + 1 per slot, 0 = empty.
   std::vector<std::uint32_t> slots_;
   std::size_t mask_ = 0;
@@ -212,10 +220,10 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   ///    fault, never on scheduling.
   /// An inactive operation returns the behavioural reference result with no
   /// netlist work. An active one returns the faulty netlist's result: the
-  /// force is armed on the first activation and never released, so the
-  /// evaluator only ever computes the faulty function, and its answers are
-  /// memoized per (op, a, b) tuple (exact: the CUTs are combinational and
-  /// every input port is driven on every operation).
+  /// force is armed on the first forced evaluation and never released, so
+  /// the evaluator only ever computes the faulty function, and its answers
+  /// are memoized per (op, a, b) tuple (exact: the CUTs are combinational
+  /// and every input port is driven on every operation).
   ///
   /// Reference form: evaluates through the model's reference Evaluator,
   /// one tuple per evaluation (the oracle path).
@@ -224,9 +232,14 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   /// Campaign form: evaluates through a caller-held compiled netlist and
   /// good-path table, so parallel per-fault tasks never touch the session
   /// caches. `nl`, `compiled` and `good_path` must describe the same
-  /// component and outlive the injector. An active tuple of the fault-free
-  /// run is answered from one forced sweep of its 64-tuple block, done on
-  /// first use; only off-path tuples are evaluated one at a time. Every
+  /// component and outlive the injector. Before any forced evaluation the
+  /// fault is screened for excitation: a tuple whose fault site already
+  /// holds the stuck value fault-free is answered with the good result. An
+  /// active tuple of the fault-free run is answered from one forced sweep
+  /// of its 64-tuple block, done on first use and skipped when no lane of
+  /// the block excites the fault (the table holds the site's fault-free
+  /// values); only excited off-path tuples are swept one at a time, after a
+  /// fault-free evaluation of the site's fanin cone. Every forced
   /// evaluation is a level-major sweep: the whole stimulus changes between
   /// two of them. Results are bitwise-identical to the reference form.
   GateLevelFaultInjector(const netlist::Netlist& nl,
@@ -243,8 +256,12 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
 
   /// Number of operations whose faulty result differed from the good one.
   std::uint64_t corrupted_results() const { return corrupted_; }
-  /// Number of single-tuple netlist evaluations: active tuples that were
-  /// neither on the good path nor already memoized.
+  /// Number of active tuples that were neither on the good path nor already
+  /// memoized: the off-path tuples the injector answered, screened or
+  /// evaluated.
+  std::uint64_t off_path_tuples() const { return off_path_tuples_; }
+  /// Number of single-tuple forced netlist evaluations: the off-path tuples
+  /// that excite the fault (every one of them in the reference form).
   std::uint64_t off_path_evals() const { return off_path_evals_; }
 
  private:
@@ -282,15 +299,16 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   static_assert(kMemoSlots == std::size_t{1} << 12,
                 "TupleMemo::index yields 12 bits");
 
-  /// Transition only: the faulted line's fault-free value per tuple, from
-  /// an un-faulted reference evaluator (compiled evaluators cannot provide
-  /// it — optimization passes may fuse the line away).
-  struct LineProbe {
-    LineProbe(const netlist::Netlist& nl, netlist::NetId net)
-        : eval(nl), line(net) {}
+  /// The fanin cone of the fault site's net over the original netlist,
+  /// evaluated fault-free on a reference Evaluator. Forcing a net to the
+  /// value it already holds changes no value in a combinational CUT, so a
+  /// tuple whose site holds the stuck value does not excite the fault. The
+  /// compiled netlist cannot answer this: its passes may fuse the net away.
+  struct SiteCone {
+    SiteCone(const netlist::Netlist& nl, netlist::NetId site_net);
     netlist::Evaluator eval;
-    netlist::NetId line;
-    TupleMemo memo;
+    std::vector<netlist::NetId> gates;  // the cone, inputs included, in a
+                                        // topological order
   };
 
   void init(const fault::Fault& fault);
@@ -299,15 +317,22 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   std::uint64_t resolve(std::uint32_t op, std::uint32_t a, std::uint32_t b,
                         std::uint64_t good);
   bool active(std::uint32_t op, std::uint32_t a, std::uint32_t b);
-  /// Drives every input port with the tuple and evaluates.
+  /// Drives every input port with the tuple.
   template <class Eval>
-  void drive_and_eval(Eval& ev, std::uint32_t op, std::uint32_t a,
-                      std::uint32_t b) const;
+  void drive(Eval& ev, std::uint32_t op, std::uint32_t a,
+             std::uint32_t b) const;
+  /// The site's fault-free value for one tuple, from its cone (built on
+  /// first use; transition: memoized).
+  bool site_value(std::uint32_t op, std::uint32_t a, std::uint32_t b);
+  /// Lanes of the site word `site` in which the fault is excited.
+  std::uint64_t excited(std::uint64_t site) const {
+    return fault_.stuck_value ? ~site : site;
+  }
   /// Forces the fault in every lane of `ev`, once.
   template <class Eval>
   void arm(Eval& ev);
   std::uint64_t faulty_result(std::uint32_t op, std::uint32_t a,
-                              std::uint32_t b);
+                              std::uint32_t b, std::uint64_t good);
   /// Faulty result of good-path tuple `i`, sweeping its block if needed.
   std::uint64_t good_path_result(std::size_t i);
 
@@ -322,6 +347,8 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   const netlist::Bus* port_b_ = nullptr;
   const netlist::Bus* port_op_ = nullptr;
   const netlist::Bus* port_out_ = nullptr;
+  // The fault site's net: the gate output, or the driver of the faulted pin.
+  netlist::NetId site_net_ = netlist::kNoNet;
   std::uint64_t stream_key_ = 0;  // fault_stream_key(fault_)
   std::uint64_t op_index_ = 0;    // operations seen through the hooks
   bool armed_ = false;            // force injected into the evaluator
@@ -330,8 +357,10 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   std::vector<std::uint64_t> diff_;   // faulty ^ good per good-path tuple
   std::vector<std::uint8_t> swept_;   // per good-path block: diff_ filled
   TupleMemo results_;             // faulty results of off-path tuples
-  std::unique_ptr<LineProbe> line_;
+  std::unique_ptr<SiteCone> site_;
+  std::optional<TupleMemo> line_memo_;  // transition: site value per tuple
   std::uint64_t corrupted_ = 0;
+  std::uint64_t off_path_tuples_ = 0;
   std::uint64_t off_path_evals_ = 0;
 };
 

@@ -601,11 +601,26 @@ CompiledEvaluatorT<W>::CompiledEvaluatorT(
     std::shared_ptr<const CompiledNetlist> cn)
     : CompiledEvaluatorT(cn, *cn) {}
 
+// set_input_block per bit, in one loop: the injector drives three buses per
+// single-tuple evaluation. Under a pending full sweep nothing is scheduled,
+// so no branch depends on the (random) stimulus bits.
 template <unsigned W>
 void CompiledEvaluatorT<W>::set_bus(const Bus& bus, std::uint64_t value) {
+  std::uint64_t changed = 0;
   for (std::size_t i = 0; i < bus.size(); ++i) {
-    set_input(bus[i], (value >> i) & 1u);
+    const std::uint64_t w = std::uint64_t{0} - ((value >> i) & 1u);
+    std::uint64_t* in = &inputs_[cn_->slot_[bus[i]] * W];
+    std::uint64_t bit_changed = 0;
+    for (unsigned k = 0; k < W; ++k) {
+      bit_changed |= in[k] ^ w;
+      in[k] = w;
+    }
+    if (!full_pending_ && bit_changed) schedule_live(bus[i]);
+    changed |= bit_changed;
   }
+  // The baseline shifts under the injected faults; teardown must
+  // re-propagate instead of replaying stale blocks.
+  if (changed && has_faults_) invalidate_undo();
 }
 
 template <unsigned W>

@@ -1,13 +1,15 @@
 // Hardened campaign runtime: RunOutcome taxonomy, watchdog budgets derived
 // from the good run, the software-MPU store guard, fault-tolerant campaign
 // execution, and the injector's per-operation rule (activation per fault
-// model, the good-path table and the off-path memo) against a
-// per-operation reference oracle (tests for core/inject.{hpp,cpp}).
+// model, the good-path table, the off-path memo and the excitation screen)
+// against a per-operation reference oracle and the injector's reference
+// form (tests for core/inject.{hpp,cpp}).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <set>
@@ -615,12 +617,12 @@ std::vector<fault::Fault> sampled_faults(GradingSession& session, CutId cut,
   return out;
 }
 
-// Off-path evaluations of one guarded run through the campaign-form
-// injector with the session's good-path table, and whether it reached
-// `break`.
+// Off-path tuples of one guarded run through the campaign-form injector
+// with the session's good-path table (screened or swept alike), and whether
+// it reached `break`.
 struct PathProbe {
   bool halted = false;
-  std::uint64_t off_path_evals = 0;
+  std::uint64_t off_path_tuples = 0;
 };
 
 PathProbe probe_path(GradingSession& session, const TestProgram& p,
@@ -636,14 +638,14 @@ PathProbe probe_path(GradingSession& session, const TestProgram& p,
   sim::InjectSink<GateLevelFaultInjector> sink{&injector};
   const sim::GuardedResult run =
       bad.run_guarded(p.entry, sink, budget, &guard);
-  return {run.reason == sim::StopReason::kHalted, injector.off_path_evals()};
+  return {run.reason == sim::StopReason::kHalted, injector.off_path_tuples()};
 }
 
 // Two faults of `cut` under `model`, in a seeded scan of the collapsed
 // universe: the first whose run applies only good-path tuples all the way
-// to `break` (every faulty answer comes from a swept table block), and the
+// to `break` (every faulty answer comes from a table block), and the
 // first whose run applies at least one tuple off the good path (answered
-// by a single-tuple evaluation).
+// by the excitation screen or a single-tuple evaluation).
 std::vector<fault::Fault> good_path_and_off_path_faults(
     GradingSession& session, const TestProgram& p, CutId cut,
     fault::FaultModel model, double factor) {
@@ -656,8 +658,8 @@ std::vector<fault::Fault> good_path_and_off_path_faults(
   std::optional<fault::Fault> on_path, off_path;
   for (const fault::Fault& fa : scan) {
     const PathProbe probe = probe_path(session, p, cut, fa, budget);
-    if (!on_path && probe.halted && probe.off_path_evals == 0) on_path = fa;
-    if (!off_path && probe.off_path_evals > 0) off_path = fa;
+    if (!on_path && probe.halted && probe.off_path_tuples == 0) on_path = fa;
+    if (!off_path && probe.off_path_tuples > 0) off_path = fa;
     if (on_path && off_path) break;
   }
   EXPECT_TRUE(on_path.has_value()) << "no fault stays on the good path";
@@ -839,6 +841,15 @@ std::vector<std::uint64_t> reference_outputs(
   return out;
 }
 
+// Every op code of `cut`; the multiplier has no op port.
+std::vector<std::uint32_t> ops_of(CutId cut) {
+  switch (cut) {
+    case CutId::kAlu: return {0, 1, 2, 3, 4, 5, 6, 7};
+    case CutId::kShifter: return {0, 2, 3};
+    default: return {0};
+  }
+}
+
 std::optional<std::uint64_t> hook_result(GateLevelFaultInjector& injector,
                                          CutId cut, const OpTuple& t) {
   switch (cut) {
@@ -885,9 +896,7 @@ TEST(InjectorMemo, AnswersIndependentOfHistoryAndEviction) {
     // of b under one (op, a), 32 values of a under one (op, b), each under
     // every op. Slot collisions inside a family are then common, and they
     // are the ones a partial tag compare would get wrong.
-    std::vector<std::uint32_t> ops = {0};  // the multiplier has no op port
-    if (cut == CutId::kAlu) ops = {0, 1, 2, 3, 4, 5, 6, 7};
-    if (cut == CutId::kShifter) ops = {0, 2, 3};
+    const std::vector<std::uint32_t> ops = ops_of(cut);
     std::set<OpTuple> unique;
     std::vector<OpTuple> distinct;
     const auto add = [&](std::uint32_t a, std::uint32_t b) {
@@ -974,6 +983,127 @@ TEST(InjectorMemo, AnswersIndependentOfHistoryAndEviction) {
   }
 }
 
+// ---- excitation screen ---------------------------------------------------------
+
+// A seeded sample of the collapsed faults of `cut` under `model`, plus the
+// first fault of a seeded scan in each site class the screen must handle:
+// an output site, a pin whose driver fans out, and a site on a gate the
+// netlist passes rewrite — a buffer or inverter, which the fuse pass
+// bypasses (the ALU has 65), or a constant or a gate with a constant pin,
+// which the const-fold pass folds (the shifter and the multiplier have
+// those, and no inverters).
+std::vector<fault::Fault> screen_faults(GradingSession& session, CutId cut,
+                                        fault::FaultModel model) {
+  const netlist::Netlist& nl = session.model().component(cut).netlist;
+  const std::vector<std::uint32_t> fanout = nl.fanout_counts();
+  const auto is_const = [&nl](netlist::NetId n) {
+    return nl.gate(n).kind == netlist::GateKind::kConst0 ||
+           nl.gate(n).kind == netlist::GateKind::kConst1;
+  };
+  struct SiteClass {
+    const char* name;
+    std::function<bool(const fault::Fault&)> holds;
+  };
+  const SiteClass classes[] = {
+      {"output site", [](const fault::Fault& fa) { return fa.site.is_output(); }},
+      {"pin site whose driver fans out",
+       [&](const fault::Fault& fa) {
+         return !fa.site.is_output() &&
+                fanout[nl.gate(fa.site.gate).in[fa.site.pin]] > 1;
+       }},
+      {"site on a fused or const-folded gate",
+       [&](const fault::Fault& fa) {
+         const netlist::Gate& g = nl.gate(fa.site.gate);
+         if (g.kind == netlist::GateKind::kBuf ||
+             g.kind == netlist::GateKind::kNot || is_const(fa.site.gate)) {
+           return true;
+         }
+         for (unsigned p = 0; p < netlist::fanin_count(g.kind); ++p) {
+           if (is_const(g.in[p])) return true;
+         }
+         return false;
+       }},
+  };
+  const std::uint64_t seed = 0x5c4ee + static_cast<unsigned>(model);
+  std::vector<fault::Fault> out = sampled_faults(session, cut, model, 4, seed);
+  std::vector<fault::Fault> scan = session.universe(cut, model).collapsed();
+  Rng rng(seed);
+  for (std::size_t i = scan.size(); i > 1; --i) {
+    std::swap(scan[i - 1], scan[rng.below(i)]);
+  }
+  for (const SiteClass& c : classes) {
+    const auto it = std::find_if(scan.begin(), scan.end(), c.holds);
+    EXPECT_NE(it, scan.end()) << nl.name() << ": no " << c.name;
+    if (it != scan.end()) out.push_back(*it);
+  }
+  return out;
+}
+
+// The campaign form screens every tuple for excitation before a forced
+// sweep; the reference form sweeps every active tuple. On the good-path
+// tuples and on random off-path tuples, shuffled and with repeats, both must
+// give the same answer to every operation, under all four fault models, and
+// the off-path tuples must include both screened and swept ones.
+TEST(InjectorScreen, MatchesReferenceFormOnEveryPath) {
+  CampaignFixture& f = fixture();
+  GradingSession session(f.model, {.num_threads = 1});
+  for (const CutId cut : {CutId::kAlu, CutId::kShifter, CutId::kMultiplier}) {
+    const netlist::Netlist& nl = f.model.component(cut).netlist;
+    const std::string name = f.model.component(cut).name;
+    const auto good_path = session.good_path(f.program, {}, cut);
+    Rng rng(0x5c4e + static_cast<unsigned>(cut));
+    const std::vector<std::uint32_t> ops = ops_of(cut);
+    std::vector<OpTuple> tuples;
+    for (std::size_t i = 0; i < good_path->size(); ++i) {
+      const GoodPathTable::Tuple& t = good_path->tuple(i);
+      tuples.push_back({t.op, t.a, t.b});
+    }
+    for (int k = 0; k < 512; ++k) {
+      const std::uint32_t b = rng.next32();
+      tuples.push_back({ops[rng.below(ops.size())], rng.next32(),
+                        cut == CutId::kShifter ? b % 32 : b});
+    }
+    for (std::size_t i = tuples.size(); i > 1; --i) {
+      std::swap(tuples[i - 1], tuples[rng.below(i)]);
+    }
+    std::vector<OpTuple> calls;
+    for (std::size_t i = 0; i < tuples.size(); ++i) {
+      calls.push_back(tuples[i]);
+      if (i % 2 == 1) calls.push_back(tuples[rng.below(i + 1)]);
+    }
+
+    std::uint64_t screened = 0, swept = 0;
+    for (const fault::FaultModel fm : kAllModels) {
+      for (const fault::Fault& fa : screen_faults(session, cut, fm)) {
+        const std::string where = name + " " + fault::fault_name(nl, fa);
+        GateLevelFaultInjector campaign(nl, session.compiled(cut), *good_path,
+                                        cut, fa);
+        GateLevelFaultInjector reference(f.model, cut, fa);
+        std::size_t mismatches = 0;
+        for (const OpTuple& t : calls) {
+          const std::optional<std::uint64_t> got =
+              hook_result(campaign, cut, t);
+          const std::optional<std::uint64_t> want =
+              hook_result(reference, cut, t);
+          ASSERT_TRUE(got.has_value() && want.has_value()) << where;
+          mismatches += *got != *want;
+        }
+        EXPECT_EQ(mismatches, 0u) << where;
+        EXPECT_EQ(campaign.corrupted_results(), reference.corrupted_results())
+            << where;
+        EXPECT_EQ(reference.off_path_evals(), reference.off_path_tuples())
+            << where;
+        ASSERT_LE(campaign.off_path_evals(), campaign.off_path_tuples())
+            << where;
+        screened += campaign.off_path_tuples() - campaign.off_path_evals();
+        swept += campaign.off_path_evals();
+      }
+    }
+    EXPECT_GT(screened, 0u) << name << ": no off-path tuple was screened";
+    EXPECT_GT(swept, 0u) << name << ": no off-path tuple was swept";
+  }
+}
+
 // ---- good-path table ---------------------------------------------------------
 
 // Every operand tuple one CUT receives, in first-use order, deduplicated.
@@ -1006,7 +1136,7 @@ class TupleRecorder final : public sim::CpuHooks {
 // The table holds exactly the distinct tuples of the fault-free run, in
 // first-use order, with their fault-free outputs; and every answer an
 // injector gives from a swept table block equals a reference Evaluator
-// with the fault forced, without a single off-path evaluation.
+// with the fault forced, without a single off-path tuple.
 TEST(GoodPathTable, HoldsTheTracedTuplesAndPrefillsExactAnswers) {
   CampaignFixture& f = fixture();
   GradingSession session(f.model, {.num_threads = 1});
@@ -1075,7 +1205,7 @@ TEST(GoodPathTable, HoldsTheTracedTuplesAndPrefillsExactAnswers) {
       }
       EXPECT_EQ(mismatches, 0u) << where;
       EXPECT_EQ(injector.corrupted_results(), corrupted) << where;
-      EXPECT_EQ(injector.off_path_evals(), 0u) << where;
+      EXPECT_EQ(injector.off_path_tuples(), 0u) << where;
     }
   }
 }

@@ -521,6 +521,72 @@ TEST(CompiledEval, RtlgenSeqComponents) {
   exercise_component(rtlgen::build_memctrl(), 913);
 }
 
+// ---- word-level set_bus ------------------------------------------------------
+
+// set_bus drives a whole bus in one loop; it must leave exactly the state
+// per-bit set_input calls leave. Two twins run one call sequence, one
+// driving through set_bus, the other bit by bit, and must agree on every net
+// after every evaluation: with the stimulus set under a pending full sweep
+// and in event mode, and under armed forces, where a stimulus change must
+// invalidate the undo log so that clear_faults() re-propagates instead of
+// replaying blocks recorded against the old stimulus.
+template <unsigned W>
+void expect_set_bus_matches_set_input(std::uint64_t seed) {
+  const Netlist nl = rtlgen::build_alu();
+  const CompiledNetlist cn(nl, CompileOptions::all());
+  const std::vector<const Bus*> buses = {
+      &nl.input_port("a"), &nl.input_port("b"), &nl.input_port("op")};
+  const std::vector<Fault> faults = FaultUniverse(nl).collapsed();
+  CompiledEvaluatorT<W> by_bus(cn);
+  CompiledEvaluatorT<W> by_bit(cn);
+  Rng rng(seed);
+  const auto drive = [&] {
+    for (const Bus* bus : buses) {
+      // Often leave a bus unchanged, so set_bus also meets no-op writes.
+      if (rng.chance(0.25)) continue;
+      const std::uint64_t v = rng.next64();
+      by_bus.set_bus(*bus, v);
+      for (std::size_t i = 0; i < bus->size(); ++i) {
+        by_bit.set_input((*bus)[i], (v >> i) & 1u);
+      }
+    }
+  };
+  const auto eval_and_compare = [&](const std::string& label) {
+    by_bus.eval();
+    by_bit.eval();
+    for (NetId id = 0; id < nl.size(); ++id) {
+      for (unsigned w = 0; w < W; ++w) {
+        ASSERT_EQ(by_bus.value_word(id, w), by_bit.value_word(id, w))
+            << "W=" << W << " " << label << ": net " << id;
+      }
+    }
+  };
+  for (int round = 0; round < 24; ++round) {
+    const std::string at = "round " + std::to_string(round);
+    const bool full = round % 2 == 0;
+    if (full) {
+      by_bus.request_full_eval();
+      by_bit.request_full_eval();
+    }
+    drive();
+    eval_and_compare(at + (full ? " full sweep" : " event"));
+    const Fault& f = faults[rng.below(faults.size())];
+    by_bus.inject_broadcast(f.site, f.stuck_value);
+    by_bit.inject_broadcast(f.site, f.stuck_value);
+    eval_and_compare(at + " forced");
+    drive();
+    eval_and_compare(at + " forced, new stimulus");
+    by_bus.clear_faults();
+    by_bit.clear_faults();
+    eval_and_compare(at + " cleared");
+  }
+}
+
+TEST(CompiledEval, SetBusMatchesPerBitSetInput) {
+  expect_set_bus_matches_set_input<1>(1301);
+  expect_set_bus_matches_set_input<4>(1302);
+}
+
 // ---- instrumentation -------------------------------------------------------
 
 TEST(CompiledEval, EventEvalVisitsOnlyTheFanoutCone) {
