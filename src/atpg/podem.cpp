@@ -43,49 +43,11 @@ Podem::V Podem::pin_value(const std::uint8_t* vals, NetId g, unsigned pin,
 Podem::V Podem::eval_gate(const std::uint8_t* vals, NetId id,
                           bool faulty) const {
   const Gate& g = nl_->gate(id);
-  auto in = [&](unsigned p) { return pin_value(vals, id, p, faulty); };
-  auto not3 = [](V a) { return a == kVX ? kVX : (a == kV0 ? kV1 : kV0); };
-  auto and3 = [](V a, V b) {
-    if (a == kV0 || b == kV0) return kV0;
-    if (a == kV1 && b == kV1) return kV1;
-    return kVX;
-  };
-  auto or3 = [](V a, V b) {
-    if (a == kV1 || b == kV1) return kV1;
-    if (a == kV0 && b == kV0) return kV0;
-    return kVX;
-  };
-  auto xor3 = [](V a, V b) {
-    if (a == kVX || b == kVX) return kVX;
-    return a == b ? kV0 : kV1;
-  };
-
-  V v;
-  switch (g.kind) {
-    case GateKind::kInput:
-      v = static_cast<V>(pi_assign_[id]);
-      break;
-    case GateKind::kConst0: v = kV0; break;
-    case GateKind::kConst1: v = kV1; break;
-    case GateKind::kBuf: v = in(0); break;
-    case GateKind::kNot: v = not3(in(0)); break;
-    case GateKind::kAnd: v = and3(in(0), in(1)); break;
-    case GateKind::kNand: v = not3(and3(in(0), in(1))); break;
-    case GateKind::kOr: v = or3(in(0), in(1)); break;
-    case GateKind::kNor: v = not3(or3(in(0), in(1))); break;
-    case GateKind::kXor: v = xor3(in(0), in(1)); break;
-    case GateKind::kXnor: v = not3(xor3(in(0), in(1))); break;
-    case GateKind::kMux2: {
-      const V s = in(0), d0 = in(1), d1 = in(2);
-      if (s == kV0) v = d0;
-      else if (s == kV1) v = d1;
-      else if (d0 == d1 && d0 != kVX) v = d0;
-      else v = kVX;
-      break;
-    }
-    default:
-      throw std::logic_error("Podem: unsupported gate kind");
-  }
+  V v = g.kind == GateKind::kInput
+            ? static_cast<V>(pi_assign_[id])
+            : netlist::eval_gate3(g.kind, [&](unsigned p) {
+                return pin_value(vals, id, p, faulty);
+              });
   if (faulty && fault_.site.is_output() && fault_.site.gate == id) {
     v = from_bool(fault_.stuck_value);
   }

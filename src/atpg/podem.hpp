@@ -19,6 +19,7 @@
 
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
+#include "netlist/logic3.hpp"
 #include "netlist/netlist.hpp"
 
 namespace sbst::atpg {
@@ -74,8 +75,11 @@ class Podem {
   const netlist::Netlist& netlist() const { return *nl_; }
 
  private:
-  // Three-valued logic: 0, 1, X.
-  enum V : std::uint8_t { kV0 = 0, kV1 = 1, kVX = 2 };
+  // Three-valued logic: 0, 1, X (netlist/logic3.hpp).
+  using V = netlist::Logic3;
+  static constexpr V kV0 = netlist::kLogic0;
+  static constexpr V kV1 = netlist::kLogic1;
+  static constexpr V kVX = netlist::kLogicX;
   static V from_bool(bool b) { return b ? kV1 : kV0; }
 
   void imply();  // full 3-valued good+faulty evaluation from PI assignments

@@ -11,6 +11,7 @@
 #include "core/program.hpp"
 #include "core/session.hpp"
 #include "fault/sim_parallel.hpp"
+#include "netlist/logic3.hpp"
 #include "rtlgen/multiplier.hpp"
 #include "sim/exec.hpp"
 
@@ -147,6 +148,34 @@ GoodPathTable::GoodPathTable(const netlist::Netlist& nl, CutId target,
       nets_.push_back(ev.value(net));
     }
   }
+  if (has_op) {
+    // Three-valued pass per op value, the op port fixed and every other
+    // input X. Net ids are a topological order: Netlist::add rejects a
+    // gate input that is not yet defined.
+    const netlist::Bus& op = nl.input_port("op");
+    if (op.size() > 5) {
+      throw std::invalid_argument("GoodPathTable: op port wider than 5 bits");
+    }
+    const std::uint32_t op_count = std::uint32_t{1} << op.size();
+    all_ops_ = static_cast<std::uint32_t>((std::uint64_t{1} << op_count) - 1);
+    constant_ops_.assign(2 * nl.size(), 0);
+    std::vector<netlist::Logic3> v(nl.size(), netlist::kLogicX);
+    for (std::uint32_t value = 0; value < op_count; ++value) {
+      for (std::size_t k = 0; k < op.size(); ++k) {
+        v[op[k]] = (value >> k) & 1u ? netlist::kLogic1 : netlist::kLogic0;
+      }
+      for (netlist::NetId net = 0; net < nl.size(); ++net) {
+        const netlist::Gate& g = nl.gate(net);
+        if (g.kind != netlist::GateKind::kInput) {
+          v[net] = netlist::eval_gate3(
+              g.kind, [&](unsigned p) { return v[g.in[p]]; });
+        }
+        if (v[net] != netlist::kLogicX) {
+          constant_ops_[2 * net + v[net]] |= std::uint32_t{1} << value;
+        }
+      }
+    }
+  }
   std::size_t capacity = 2;
   while (capacity < 2 * n) capacity *= 2;
   slots_.assign(capacity, 0);
@@ -212,6 +241,54 @@ void GateLevelFaultInjector::init(const fault::Fault& fault) {
   if (fault.model == fault::FaultModel::kTransition) line_memo_.emplace();
 }
 
+std::uint32_t GateLevelFaultInjector::screen_ops() const {
+  const GoodPathTable& table = *good_path_;
+  const std::uint32_t all = table.all_ops();
+  if (all == 0) return 0;
+  const netlist::Netlist& nl = *nl_;
+  // live[n]: the op values under which net n is in the fault's forward
+  // closure. A net outside it equals its fault-free value for every operand
+  // pair with that op.
+  std::vector<std::uint32_t> live(nl.size(), 0);
+  // The op values under which pin p of gate g passes no fault effect:
+  // another pin, itself outside the closure, holds the gate's controlling
+  // constant (for a mux, a select that picks the other data pin).
+  const auto stopped = [&](const netlist::Gate& g, unsigned p) {
+    const auto holds = [&](unsigned q, bool value) {
+      return table.constant_ops(g.in[q], value) & ~live[g.in[q]];
+    };
+    switch (g.kind) {
+      case netlist::GateKind::kAnd:
+      case netlist::GateKind::kNand: return holds(1 - p, false);
+      case netlist::GateKind::kOr:
+      case netlist::GateKind::kNor: return holds(1 - p, true);
+      case netlist::GateKind::kMux2:
+        return p == 1 ? holds(0, true) : p == 2 ? holds(0, false) : 0u;
+      default: return 0u;
+    }
+  };
+  // Net ids are a topological order (Netlist::add rejects forward inputs),
+  // so the closure grows in one pass from the faulted gate, which a pin
+  // fault enters only through its own pin.
+  const netlist::NetId first = fault_.site.gate;
+  live[first] = fault_.site.is_output()
+                    ? all
+                    : all & ~stopped(nl.gate(first), fault_.site.pin);
+  for (netlist::NetId id = first + 1; id < nl.size(); ++id) {
+    const netlist::Gate& g = nl.gate(id);
+    std::uint32_t reach = 0;
+    for (unsigned p = 0; p < netlist::fanin_count(g.kind); ++p) {
+      if (const std::uint32_t in = live[g.in[p]]) reach |= in & ~stopped(g, p);
+    }
+    live[id] = reach;
+  }
+  std::uint32_t observed = 0;
+  for (const netlist::NetId n : *port_out_) observed |= live[n];
+  // Never excited, or never observed on the result bus.
+  return all &
+         (table.constant_ops(site_net_, fault_.stuck_value) | ~observed);
+}
+
 GateLevelFaultInjector::SiteCone::SiteCone(const netlist::Netlist& nl,
                                            netlist::NetId site_net)
     : eval(nl) {
@@ -254,6 +331,7 @@ GateLevelFaultInjector::GateLevelFaultInjector(
       diff_(good_path.size()),
       swept_(good_path.tuples().block_count()) {
   init(fault);
+  blocked_ = screen_ops();
   comp_eval_ = std::make_unique<netlist::CompiledEvaluator>(compiled);
 }
 
@@ -376,6 +454,10 @@ std::uint64_t GateLevelFaultInjector::resolve(std::uint32_t op,
                                               std::uint32_t b,
                                               std::uint64_t good) {
   if (!active(op, a, b)) return good;
+  if ((blocked_ >> op) & 1u) {
+    ++op_blocked_;
+    return good;
+  }
   const std::uint64_t r = faulty_result(op, a, b, good);
   if (r != good) ++corrupted_;
   return r;

@@ -133,8 +133,9 @@ sim::StoreGuard store_guard_for(const struct TestProgram& program);
 /// The good path of one injectable CUT under one test program: the distinct
 /// (op, a, b) tuples the fault-free run applies to it, in first-use order,
 /// with the fault-free output of each, every net's fault-free value per
-/// 64-tuple block (a campaign injector's excitation test) and a tuple ->
-/// index lookup. The tuples stay in the TraceCollector's PatternSet —
+/// 64-tuple block (a campaign injector's excitation test), every net's
+/// constant per op value (its op-blocking screen) and a tuple -> index
+/// lookup. The tuples stay in the TraceCollector's PatternSet —
 /// 64-lane blocks in netlist input order — so a campaign injector answers 64
 /// of them per netlist sweep. Immutable once built; campaign workers share one
 /// read-only (GradingSession::good_path caches it per program and CUT).
@@ -153,6 +154,12 @@ class GoodPathTable {
   static GoodPathTable trace(const ProcessorModel& model,
                              const struct TestProgram& program,
                              const sim::CpuConfig& config, CutId target);
+  /// Tabulates `tuples`, distinct patterns over the input ports of
+  /// `target`'s netlist `nl`: decodes every tuple and evaluates every block
+  /// fault-free on the reference Evaluator, keeping every net's value; then
+  /// runs the three-valued pass once per op value.
+  GoodPathTable(const netlist::Netlist& nl, CutId target,
+                fault::PatternSet tuples);
 
   std::size_t size() const { return tuple_.size(); }
   const fault::PatternSet& tuples() const { return tuples_; }
@@ -163,6 +170,15 @@ class GoodPathTable {
   /// holds tuple 64 * block + k).
   std::uint64_t net_word(std::size_t block, netlist::NetId net) const {
     return nets_[block * net_count_ + net];
+  }
+  /// Mask of the CUT's op values (bit v = op value v); 0 for the
+  /// multiplier, which has no op port.
+  std::uint32_t all_ops() const { return all_ops_; }
+  /// Op values under which `net` holds `value` fault-free for every operand
+  /// pair: bit v is set when a three-valued pass with the op port fixed to v
+  /// and every other input X gives `net` that constant.
+  std::uint32_t constant_ops(netlist::NetId net, bool value) const {
+    return constant_ops_[2 * net + value];
   }
   /// Index of the tuple, or kNotFound when the good run never applied it.
   std::size_t find(std::uint32_t op, std::uint32_t a, std::uint32_t b) const {
@@ -175,12 +191,6 @@ class GoodPathTable {
   }
 
  private:
-  /// Tabulates `tuples`, distinct patterns over the input ports of
-  /// `target`'s netlist `nl`: decodes every tuple and evaluates every block
-  /// fault-free on the reference Evaluator, keeping every net's value.
-  GoodPathTable(const netlist::Netlist& nl, CutId target,
-                fault::PatternSet tuples);
-
   static std::size_t hash(std::uint32_t op, std::uint32_t a,
                           std::uint32_t b) {
     const std::uint64_t k = ((std::uint64_t{a} << 32) | b) ^
@@ -193,6 +203,8 @@ class GoodPathTable {
   std::vector<std::uint64_t> good_;
   std::size_t net_count_ = 0;
   std::vector<std::uint64_t> nets_;  // every net's word, block-major
+  std::uint32_t all_ops_ = 0;
+  std::vector<std::uint32_t> constant_ops_;  // per net: ops at 0, ops at 1
   // Open addressing at load <= 1/2: tuple index + 1 per slot, 0 = empty.
   std::vector<std::uint32_t> slots_;
   std::size_t mask_ = 0;
@@ -232,10 +244,17 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   /// Campaign form: evaluates through a caller-held compiled netlist and
   /// good-path table, so parallel per-fault tasks never touch the session
   /// caches. `nl`, `compiled` and `good_path` must describe the same
-  /// component and outlive the injector. Before any forced evaluation the
-  /// fault is screened for excitation: a tuple whose fault site already
-  /// holds the stuck value fault-free is answered with the good result. An
-  /// active tuple of the fault-free run is answered from one forced sweep
+  /// component and outlive the injector. At construction the op-blocking
+  /// screen marks every op value under which the fault cannot change the
+  /// result bus for any operands: the faulted line is constant at the stuck
+  /// value, or every path from the site meets a gate whose side input,
+  /// itself outside the fault's forward closure, holds the controlling
+  /// constant (the table's three-valued op constants). An active operation
+  /// with a blocked op returns the good result with no netlist work. Before
+  /// any forced evaluation the fault is screened for excitation: a tuple
+  /// whose fault site already holds the stuck value fault-free is answered
+  /// with the good result. An active tuple of the fault-free run is
+  /// answered from one forced sweep
   /// of its 64-tuple block, done on first use and skipped when no lane of
   /// the block excites the fault (the table holds the site's fault-free
   /// values); only excited off-path tuples are swept one at a time, after a
@@ -263,6 +282,11 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   /// Number of single-tuple forced netlist evaluations: the off-path tuples
   /// that excite the fault (every one of them in the reference form).
   std::uint64_t off_path_evals() const { return off_path_evals_; }
+  /// The op values the op-blocking screen answers with the good result (bit
+  /// v = op value v); always 0 in the reference form and for the multiplier.
+  std::uint32_t blocked_ops() const { return blocked_; }
+  /// Number of active operations the op-blocking screen answered.
+  std::uint64_t op_blocked() const { return op_blocked_; }
 
  private:
   /// Direct-mapped table of one combinational function of the operand
@@ -312,6 +336,8 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   };
 
   void init(const fault::Fault& fault);
+  /// The op values under which the fault never changes `port_out_`.
+  std::uint32_t screen_ops() const;
   /// The shared per-operation rule: `good` is the behavioural reference
   /// result the hook already computed.
   std::uint64_t resolve(std::uint32_t op, std::uint32_t a, std::uint32_t b,
@@ -354,6 +380,7 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   bool armed_ = false;            // force injected into the evaluator
   bool prev_line_sv_ = false;     // transition: previous op's line == sv
   const GoodPathTable* good_path_ = nullptr;  // null in the reference form
+  std::uint32_t blocked_ = 0;     // screen_ops(), fixed at construction
   std::vector<std::uint64_t> diff_;   // faulty ^ good per good-path tuple
   std::vector<std::uint8_t> swept_;   // per good-path block: diff_ filled
   TupleMemo results_;             // faulty results of off-path tuples
@@ -362,6 +389,7 @@ class GateLevelFaultInjector final : public sim::CpuHooks {
   std::uint64_t corrupted_ = 0;
   std::uint64_t off_path_tuples_ = 0;
   std::uint64_t off_path_evals_ = 0;
+  std::uint64_t op_blocked_ = 0;
 };
 
 /// Result of one faulty-machine execution of a test program: the guarded

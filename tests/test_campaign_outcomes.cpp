@@ -1,9 +1,10 @@
 // Hardened campaign runtime: RunOutcome taxonomy, watchdog budgets derived
 // from the good run, the software-MPU store guard, fault-tolerant campaign
 // execution, and the injector's per-operation rule (activation per fault
-// model, the good-path table, the off-path memo and the excitation screen)
-// against a per-operation reference oracle and the injector's reference
-// form (tests for core/inject.{hpp,cpp}).
+// model, the op-blocking screen, the good-path table, the off-path memo and
+// the excitation screen) against a per-operation reference oracle, the
+// injector's reference form and hand-built CUTs (tests for
+// core/inject.{hpp,cpp}).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -23,6 +25,8 @@
 #include "core/program.hpp"
 #include "core/session.hpp"
 #include "fault/fault.hpp"
+#include "fault/pattern.hpp"
+#include "netlist/compiled.hpp"
 #include "netlist/eval.hpp"
 #include "netlist/netlist.hpp"
 #include "rtlgen/alu.hpp"
@@ -1072,7 +1076,7 @@ TEST(InjectorScreen, MatchesReferenceFormOnEveryPath) {
       if (i % 2 == 1) calls.push_back(tuples[rng.below(i + 1)]);
     }
 
-    std::uint64_t screened = 0, swept = 0;
+    std::uint64_t screened = 0, swept = 0, op_blocked = 0;
     for (const fault::FaultModel fm : kAllModels) {
       for (const fault::Fault& fa : screen_faults(session, cut, fm)) {
         const std::string where = name + " " + fault::fault_name(nl, fa);
@@ -1097,11 +1101,180 @@ TEST(InjectorScreen, MatchesReferenceFormOnEveryPath) {
             << where;
         screened += campaign.off_path_tuples() - campaign.off_path_evals();
         swept += campaign.off_path_evals();
+        EXPECT_EQ(reference.op_blocked(), 0u) << where;
+        op_blocked += campaign.op_blocked();
       }
     }
     EXPECT_GT(screened, 0u) << name << ": no off-path tuple was screened";
     EXPECT_GT(swept, 0u) << name << ": no off-path tuple was swept";
+    if (cut == CutId::kAlu) {
+      EXPECT_GT(op_blocked, 0u) << name << ": no operation was op-blocked";
+    }
   }
+}
+
+// ---- op-blocking screen ------------------------------------------------------
+
+// Every collapsed stuck-at fault of the ALU and the shifter, under every op
+// value the CPU issues that the campaign form's op-blocking screen marks
+// blocked (the shifter never issues op 01): the unscreened reference form's
+// evaluation, a reference Evaluator with the fault forced, must give the
+// behavioural result on the corner operand pairs over 0, 1, ~0 and
+// 0x80000000 and on 256 random pairs. It is batched 64 pairs per sweep; one
+// reference-form call per pair would make this test about 20 times slower.
+// The check is not vacuous: ADD, SUB, AND and XOR each have blocked ALU
+// faults.
+TEST(OpBlockingScreen, BlockedOpsGiveTheGoodResultForEveryOperandPair) {
+  CampaignFixture& f = fixture();
+  GradingSession session(f.model, {.num_threads = 1});
+  for (const CutId cut : {CutId::kAlu, CutId::kShifter}) {
+    const netlist::Netlist& nl = f.model.component(cut).netlist;
+    const std::string name = f.model.component(cut).name;
+    const CutPorts ports = ports_of(nl, cut);
+    const auto good_path = session.good_path(f.program, {}, cut);
+    const std::uint32_t shamt_mask = cut == CutId::kShifter ? 31 : ~0u;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> operands;
+    for (const std::uint32_t a : {0u, 1u, ~0u, 0x80000000u}) {
+      for (const std::uint32_t b : {0u, 1u, ~0u, 0x80000000u}) {
+        operands.emplace_back(a, b & shamt_mask);
+      }
+    }
+    Rng rng(0xb10c + static_cast<unsigned>(cut));
+    for (int k = 0; k < 256; ++k) {
+      const std::uint32_t a = rng.next32();
+      operands.emplace_back(a, rng.next32() & shamt_mask);
+    }
+    std::map<std::uint32_t, std::size_t> blocked_faults;  // per op value
+    for (const fault::Fault& fa :
+         session.universe(cut, fault::FaultModel::kStuckAt).collapsed()) {
+      const GateLevelFaultInjector campaign(nl, session.compiled(cut),
+                                            *good_path, cut, fa);
+      std::vector<OpTuple> tuples;
+      for (const std::uint32_t op : ops_of(cut)) {
+        if (((campaign.blocked_ops() >> op) & 1u) == 0) continue;
+        ++blocked_faults[op];
+        for (const auto& [a, b] : operands) tuples.push_back({op, a, b});
+      }
+      if (tuples.empty()) continue;
+      netlist::Evaluator armed(nl);
+      armed.inject_broadcast(fa.site, fa.stuck_value);
+      const std::vector<std::uint64_t> faulty =
+          reference_outputs(armed, ports, tuples);
+      std::map<std::uint32_t, std::size_t> mismatches;  // per op value
+      for (std::size_t i = 0; i < tuples.size(); ++i) {
+        mismatches[tuples[i].op] +=
+            faulty[i] != behavioural_result(cut, tuples[i]);
+      }
+      for (const auto& [op, n] : mismatches) {
+        EXPECT_EQ(n, 0u)
+            << name << " " << fault::fault_name(nl, fa) << " op " << op;
+      }
+    }
+    if (cut == CutId::kAlu) {
+      for (const rtlgen::AluOp op : {rtlgen::AluOp::kAdd, rtlgen::AluOp::kSub,
+                                     rtlgen::AluOp::kAnd,
+                                     rtlgen::AluOp::kXor}) {
+        EXPECT_GT(blocked_faults[static_cast<std::uint32_t>(op)], 0u)
+            << "no ALU fault is blocked under op " << static_cast<int>(op);
+      }
+    }
+  }
+}
+
+// A hand-built two-bit "ALU" with a one-bit op port; each case adds its
+// logic and the result bus.
+struct TinyCut {
+  netlist::Netlist nl{"tiny"};
+  netlist::Bus a = nl.input_bus("a", 2);
+  netlist::Bus b = nl.input_bus("b", 2);
+  netlist::NetId op = nl.input_bus("op", 1)[0];
+};
+
+// The op values the campaign form's screen blocks for `fa`.
+std::uint32_t screened_ops(const netlist::Netlist& nl, const fault::Fault& fa) {
+  const netlist::CompiledNetlist compiled(nl);
+  const GoodPathTable table(nl, CutId::kAlu, fault::PatternSet(nl));
+  EXPECT_EQ(table.all_ops(), 0b11u);
+  const GateLevelFaultInjector injector(nl, compiled, table, CutId::kAlu, fa);
+  return injector.blocked_ops();
+}
+
+// The op values under which no operand pair makes the result with `fa`
+// forced differ from the fault-free result (exhaustive).
+std::uint32_t unexposed_ops(const netlist::Netlist& nl,
+                            const fault::Fault& fa) {
+  netlist::Evaluator good(nl), bad(nl);
+  bad.inject_broadcast(fa.site, fa.stuck_value);
+  const netlist::Bus& out = nl.output_port("result");
+  std::uint32_t unexposed = 0b11;
+  for (std::uint32_t op = 0; op < 2; ++op) {
+    for (std::uint32_t a = 0; a < 4; ++a) {
+      for (std::uint32_t b = 0; b < 4; ++b) {
+        for (netlist::Evaluator* ev : {&good, &bad}) {
+          ev->set_bus(nl.input_port("a"), a);
+          ev->set_bus(nl.input_port("b"), b);
+          ev->set_bus(nl.input_port("op"), op);
+          ev->eval();
+        }
+        if (good.bus_value(out) != bad.bus_value(out)) {
+          unexposed &= ~(1u << op);
+        }
+      }
+    }
+  }
+  return unexposed;
+}
+
+// On these CUTs the screen is complete as well as exact, so each case pins
+// the blocked mask both ways: against the hand-derived value and against
+// exhaustive simulation.
+void expect_blocked(const netlist::Netlist& nl, const fault::Fault& fa,
+                    std::uint32_t want, const char* what) {
+  EXPECT_EQ(unexposed_ops(nl, fa), want) << what;
+  EXPECT_EQ(screened_ops(nl, fa), want) << what;
+}
+
+// result = op ? b0 : a0. A constant select blocks the data pin it does not
+// pick, and only that one.
+TEST(OpBlockingScreen, MuxSelectBlocksTheUnpickedDataPin) {
+  TinyCut c;
+  c.nl.output_bus("result", {c.nl.mux2(c.op, c.a[0], c.b[0])});
+  expect_blocked(c.nl, {netlist::Site{c.a[0]}, false}, 0b10, "d0 sa0");
+  expect_blocked(c.nl, {netlist::Site{c.b[0]}, true}, 0b01, "d1 sa1");
+}
+
+// result0 = buf(op) & buf(op). Under op 0 both AND inputs hold the
+// controlling 0 fault-free, but both are in the fault's closure, so neither
+// blocks the other: op stuck-at-1 is exposed under op 0 (and unexcited
+// under op 1).
+TEST(OpBlockingScreen, ControllingSideInputInTheClosureDoesNotBlock) {
+  TinyCut c;
+  const netlist::NetId p = c.nl.buf(c.op);
+  const netlist::NetId q = c.nl.buf(c.op);
+  c.nl.output_bus("result",
+                  {c.nl.and_(p, q), c.nl.xor_(c.a[0], c.b[0])});
+  expect_blocked(c.nl, {netlist::Site{c.op}, true}, 0b10, "op sa1");
+}
+
+// result0 = a0 & op, result1 = a0 ^ b0. A stuck-at-1 on the AND's a0 pin is
+// blocked at its own gate under op 0; a0's own output fault still reaches
+// result1.
+TEST(OpBlockingScreen, PinFaultBlockedAtItsOwnGate) {
+  TinyCut c;
+  const netlist::NetId g = c.nl.and_(c.a[0], c.op);
+  c.nl.output_bus("result", {g, c.nl.xor_(c.a[0], c.b[0])});
+  expect_blocked(c.nl, {netlist::Site{g, 0}, true}, 0b01, "AND pin a0 sa1");
+  expect_blocked(c.nl, {netlist::Site{c.a[0]}, true}, 0b00, "a0 sa1");
+}
+
+// result0 = (op | a0) ^ b0. Under op 1 the OR is constant 1, so its
+// stuck-at-1 is never excited; under op 0 nothing blocks it.
+TEST(OpBlockingScreen, ConstantLineAtTheStuckValueIsNeverExcited) {
+  TinyCut c;
+  const netlist::NetId n = c.nl.or_(c.op, c.a[0]);
+  c.nl.output_bus("result", {c.nl.xor_(n, c.b[0])});
+  expect_blocked(c.nl, {netlist::Site{n}, true}, 0b10, "OR sa1");
+  expect_blocked(c.nl, {netlist::Site{n}, false}, 0b00, "OR sa0");
 }
 
 // ---- good-path table ---------------------------------------------------------
