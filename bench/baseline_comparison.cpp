@@ -56,16 +56,16 @@ Run grade_program(const ProcessorModel& model, const std::string& label,
     const ComponentInfo& info = model.component(id);
     fault::FaultUniverse u(info.netlist);
     EvalOptions opts;
-    return fault::simulate_comb(info.netlist, u.collapsed(), ps,
-                                observation_points(info, opts))
+    return fault::simulate_comb_parallel(info.netlist, u.collapsed(), ps,
+                                         observation_points(info, opts))
         .percent();
   };
   auto seq = [&](CutId id, const fault::SeqStimulus& st) {
     const ComponentInfo& info = model.component(id);
     fault::FaultUniverse u(info.netlist);
     EvalOptions opts;
-    return fault::simulate_seq(info.netlist, u.collapsed(), st,
-                               observation_points(info, opts))
+    return fault::simulate_seq_parallel(info.netlist, u.collapsed(), st,
+                                        observation_points(info, opts))
         .percent();
   };
   run.fc_alu = comb(CutId::kAlu, trace.alu_patterns());

@@ -45,8 +45,8 @@ int main() {
        {std::pair{"MISR subroutine (paper)", Compaction::kMisr},
         std::pair{"inline XOR accumulate", Compaction::kXorAccumulate}}) {
     Variant v{label, compaction,
-              builder.build_standalone(make_fig1_immediate_routine(
-                  tests, {}, compaction)),
+              builder.build_standalone(
+                  make_fig1_immediate_routine(tests, compaction)),
               {}};
     sim::Cpu cpu;
     cpu.reset();

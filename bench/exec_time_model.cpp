@@ -136,12 +136,12 @@ int main() {
     Table v({"Machine", "Program words", "CPU cycles", "Pipeline stalls"});
     TestProgramBuilder fw_builder;
     const TestProgram fw_prog =
-        fw_builder.build_standalone(make_alu_routine({}));
+        fw_builder.build_standalone(make_alu_routine());
     CodegenOptions nf_opts;
     nf_opts.schedule_for_no_forwarding = true;
     TestProgramBuilder nf_builder(nf_opts);
     const TestProgram nf_prog =
-        nf_builder.build_standalone(make_alu_routine({}));
+        nf_builder.build_standalone(make_alu_routine());
 
     auto row = [&](const char* label, const TestProgram& p,
                    const sim::CpuConfig& cfg) {
@@ -171,8 +171,8 @@ int main() {
   std::puts("\nLocality check (paper s2): loop styles have lower instruction"
             " miss rates than straight-line code under a small I-cache");
   TestProgramBuilder b2;
-  const Routine fig4 = make_fig4_regular_routine(rtlgen::AluOp::kAdd, {});
-  const Routine alu = make_alu_routine({});
+  const Routine fig4 = make_fig4_regular_routine(rtlgen::AluOp::kAdd);
+  const Routine alu = make_alu_routine();
   Table l({"Routine", "Style", "Instructions", "I-misses",
            "I-miss rate (%)"});
   for (const Routine* r : {&fig4, &alu}) {

@@ -39,8 +39,9 @@ StyleRun run_style(const ProcessorModel& model, std::string label,
   fault::FaultUniverse universe(alu.netlist);
   fault::ObserveSet obs = alu.netlist.output_port("result");
   obs.push_back(alu.netlist.output_port("zero")[0]);
-  out.alu_fc = fault::simulate_comb(alu.netlist, universe.collapsed(),
-                                    trace.alu_patterns(), obs)
+  out.alu_fc = fault::simulate_comb_parallel(alu.netlist,
+                                             universe.collapsed(),
+                                             trace.alu_patterns(), obs)
                    .percent();
   return out;
 }
@@ -98,17 +99,16 @@ int main() {
 
   std::vector<StyleRun> runs;
   runs.push_back(run_style(model, "Fig.1 AtpgD (I) immediate",
-                           make_fig1_immediate_routine(det, {})));
+                           make_fig1_immediate_routine(det)));
   runs.push_back(run_style(
       model, "Fig.2 AtpgD (L) data fetch",
-      make_fig2_datafetch_routine(det, rtlgen::AluOp::kAdd, {})));
+      make_fig2_datafetch_routine(det, rtlgen::AluOp::kAdd)));
   runs.push_back(run_style(model, "Fig.3 PR (L) software LFSR",
                            make_fig3_lfsr_routine(rtlgen::AluOp::kAdd,
                                                   0x13572468u, 0x2468ace1u,
-                                                  256, {})));
+                                                  256)));
   runs.push_back(run_style(model, "Fig.4 RegD (L) regular loop",
-                           make_fig4_regular_routine(rtlgen::AluOp::kAdd,
-                                                     {})));
+                           make_fig4_regular_routine(rtlgen::AluOp::kAdd)));
 
   for (const StyleRun& run : runs) print_listing_head(run, 10);
 
@@ -160,10 +160,10 @@ int main() {
     std::vector<AluOpnd> subset(det.begin(),
                                 det.begin() + std::min(n, det.size()));
     const StyleRun f1 = run_style(model, "f1",
-                                  make_fig1_immediate_routine(subset, {}));
+                                  make_fig1_immediate_routine(subset));
     const StyleRun f2 = run_style(
         model, "f2",
-        make_fig2_datafetch_routine(subset, rtlgen::AluOp::kAdd, {}));
+        make_fig2_datafetch_routine(subset, rtlgen::AluOp::kAdd));
     x.add_row({Table::num(static_cast<std::uint64_t>(subset.size())),
                Table::num(f1.stats.cpu_cycles),
                Table::num(f2.stats.cpu_cycles),

@@ -35,7 +35,7 @@ int main() {
   const ProgramEvaluation ev_full = eval_with(model, full);
 
   TestProgramBuilder only_alu;
-  only_alu.add(make_alu_routine({}));
+  only_alu.add(make_alu_routine());
   const ProgramEvaluation ev_alu = eval_with(model, only_alu);
 
   std::puts("Hidden components: no routine ever targets them, yet --");

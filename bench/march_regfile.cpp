@@ -34,9 +34,9 @@ Row run_routine(const ProcessorModel& model, const std::string& label,
   const sim::ExecStats stats = cpu.run(p.entry);
   const ComponentInfo& rf = model.component(CutId::kRegisterFile);
   fault::FaultUniverse u(rf.netlist);
-  const double fc =
-      fault::simulate_seq(rf.netlist, u.collapsed(), trace.regfile_stimulus())
-          .percent();
+  const double fc = fault::simulate_seq_parallel(rf.netlist, u.collapsed(),
+                                                 trace.regfile_stimulus())
+                        .percent();
   return {label, p.sections[0].size_words(), stats.cpu_cycles, fc};
 }
 
@@ -47,18 +47,17 @@ int main() {
   std::puts(" Extension: March algorithms vs the paper's RegD(I) scheme");
   std::puts("==============================================================");
   ProcessorModel model;
-  CodegenOptions opts;
 
   Table t({"Routine", "Ops/cell", "Words", "CPU cycles", "RegFile FC (%)"});
   const Row paper = run_routine(model, "RegD (I) checkerboard+unique",
-                                make_regfile_routine(opts));
+                                make_regfile_routine());
   t.add_row({paper.label, "~7", Table::num(static_cast<std::uint64_t>(
                                     paper.words)),
              Table::num(paper.cycles), Table::num(paper.fc, 2)});
   for (const MarchAlgorithm* alg :
        {&mats_plus(), &march_x(), &march_c_minus()}) {
     const Row r = run_routine(
-        model, alg->name, make_march_regfile_routine(*alg, opts));
+        model, alg->name, make_march_regfile_routine(*alg));
     t.add_row({r.label,
                Table::num(static_cast<std::uint64_t>(alg->ops_per_cell())) +
                    "n",
@@ -80,7 +79,7 @@ int main() {
   };
   for (const auto& bgs : sets) {
     const auto seq = march_regfile_stimulus(rf, march_c_minus(), 1, 31, bgs);
-    const auto cov = fault::simulate_seq(rf, u.collapsed(), seq);
+    const auto cov = fault::simulate_seq_parallel(rf, u.collapsed(), seq);
     b.add_row({Table::num(static_cast<std::uint64_t>(bgs.size())),
                Table::num(static_cast<std::uint64_t>(seq.size())),
                Table::num(cov.percent(), 2)});

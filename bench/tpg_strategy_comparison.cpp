@@ -135,11 +135,10 @@ int main() {
   const std::vector<AluOpnd> regs = regular_alu_tests(32);
   const std::vector<AluOpnd> first16(regs.begin(), regs.begin() + 16);
   Row rows[] = {
-      {"RegD (L + I) full routine", make_alu_routine({})},
+      {"RegD (L + I) full routine", make_alu_routine()},
       {"PR (L), 1024 iterations",
-       make_fig3_lfsr_routine(rtlgen::AluOp::kAdd, 0x1357u, 0x2468u, 1024,
-                              {})},
-      {"AtpgD (I), 16 immediates", make_fig1_immediate_routine(first16, {})},
+       make_fig3_lfsr_routine(rtlgen::AluOp::kAdd, 0x1357u, 0x2468u, 1024)},
+      {"AtpgD (I), 16 immediates", make_fig1_immediate_routine(first16)},
   };
   Table t({"Strategy/routine", "Words", "CPU cycles", "Data refs"});
   for (const Row& row : rows) {

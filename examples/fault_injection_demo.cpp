@@ -19,9 +19,9 @@ int main(int argc, char** argv) {
 
   ProcessorModel model;
   TestProgramBuilder builder;
-  builder.add(make_alu_routine(builder.options()))
-      .add(make_shifter_routine(model, builder.options()))
-      .add(make_multiplier_routine(builder.options()));
+  builder.add(make_alu_routine())
+      .add(make_shifter_routine(model))
+      .add(make_multiplier_routine());
   const TestProgram program = builder.build();
 
   std::printf("SBST program (%zu words). First lines of the ALU routine:\n",

@@ -19,7 +19,7 @@ using namespace sbst::core;
 int main() {
   ProcessorModel model;
   TestProgramBuilder builder;
-  builder.add(make_alu_routine(builder.options()));
+  builder.add(make_alu_routine());
   const TestProgram program = builder.build();
 
   // Golden signatures from a fault-free run.

@@ -27,9 +27,9 @@ int main() {
 
   // 2. A compact SBST program: ALU + shifter + control routines.
   TestProgramBuilder builder;
-  builder.add(make_alu_routine(builder.options()))
-      .add(make_shifter_routine(model, builder.options()))
-      .add(make_control_routine(builder.options()));
+  builder.add(make_alu_routine())
+      .add(make_shifter_routine(model))
+      .add(make_control_routine());
   const TestProgram program = builder.build();
   std::printf("\nSBST program: %zu words, %zu routines, signatures at 0x%x\n",
               program.image.size_words(), program.routines.size(),

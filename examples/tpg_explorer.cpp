@@ -9,7 +9,7 @@
 #include "atpg/testgen.hpp"
 #include "common/tablefmt.hpp"
 #include "core/tpg.hpp"
-#include "fault/sim.hpp"
+#include "fault/sim_parallel.hpp"
 #include "rtlgen/alu.hpp"
 #include "rtlgen/shifter.hpp"
 
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
           ? shifter_pattern_set(nl, regular_shifter_tests(width))
           : alu_pattern_set(nl, regular_alu_tests(width));
   const auto reg_cov =
-      fault::simulate_comb(nl, universe.collapsed(), regular);
+      fault::simulate_comb_parallel(nl, universe.collapsed(), regular);
   t.add_row({"RegD (regular deterministic)",
              Table::num(static_cast<std::uint64_t>(regular.size())),
              Table::num(reg_cov.percent(), 2),
@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
   // Pseudorandom at several N.
   for (std::size_t n : {64u, 256u, 1024u}) {
     const fault::PatternSet pr = atpg::generate_random_tests(nl, n, 99);
-    const auto cov = fault::simulate_comb(nl, universe.collapsed(), pr);
+    const auto cov =
+        fault::simulate_comb_parallel(nl, universe.collapsed(), pr);
     t.add_row({"PR (software LFSR)",
                Table::num(static_cast<std::uint64_t>(n)),
                Table::num(cov.percent(), 2), "Figure-3 loop equivalent"});

@@ -1,5 +1,9 @@
 #include "atpg/testgen.hpp"
 
+#include <stdexcept>
+
+#include "fault/sim_parallel.hpp"
+
 namespace sbst::atpg {
 
 using fault::CoverageResult;
@@ -10,6 +14,9 @@ using netlist::Netlist;
 using netlist::NetId;
 
 namespace {
+
+// Patterns accumulated between fault-dropping simulation passes.
+constexpr std::size_t kDropBatch = 16;
 
 // Converts a raw per-input-net assignment into {port, value} pairs.
 std::vector<PortValue> to_port_values(const Netlist& nl,
@@ -37,27 +44,59 @@ TestGenResult generate_atpg_tests(const Netlist& nl,
                                   const InputConstraints& constraints,
                                   const TestGenOptions& options,
                                   const fault::ObserveSet& observe) {
+  // Each fault-dropping pass grades only the faults still undetected, so
+  // the passes add up to one grading only when a fault's detection does not
+  // depend on which patterns share its pass: stuck-at faults. Activation
+  // streams and launch/capture pairs would restart with every pass.
+  for (const Fault& f : faults) {
+    if (f.model != fault::FaultModel::kStuckAt) {
+      throw std::invalid_argument(
+          "generate_atpg_tests: stuck-at faults only (activation streams "
+          "and launch/capture pairs restart with every fault-dropping pass)");
+    }
+  }
   TestGenResult res{PatternSet(nl), {}, 0, 0, 0};
   res.coverage.total = faults.size();
   res.coverage.detected_flags.assign(faults.size(), 0);
+  std::vector<std::uint8_t>& flags = res.coverage.detected_flags;
 
   Rng rng(options.seed);
   Podem podem(nl, constraints, options.podem);
 
   // One engine context for every fault-dropping pass: compilation and cone
-  // marking happen once (or are borrowed from a session), and already-set
-  // flags short-circuit re-simulation of retired faults.
+  // marking happen once (or the compiled netlist is borrowed from a
+  // session), and each pass is lent them.
   const fault::EngineContext ctx(fault::Engine::kEvent, nl, observe,
-                                 options.compiled, /*reach=*/nullptr,
-                                 /*lanes=*/0, /*netlist_opt=*/-1,
-                                 options.store);
+                                 options.compiled);
+  fault::SimOptions drop_options;
+  drop_options.num_threads = 1;
+  drop_options.compiled = ctx.compiled();
+  drop_options.reach = ctx.reach();
+  // Grades `patterns` against the faults not yet detected and sets the
+  // flags of the new detections.
+  std::vector<std::size_t> left;
+  std::vector<Fault> left_faults;
+  auto drop = [&](const PatternSet& patterns) {
+    left.clear();
+    left_faults.clear();
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      if (flags[f]) continue;
+      left.push_back(f);
+      left_faults.push_back(faults[f]);
+    }
+    if (left.empty()) return;
+    const CoverageResult got = fault::simulate_comb_parallel(
+        nl, left_faults, patterns, ctx.observe(), drop_options);
+    for (std::size_t i = 0; i < left.size(); ++i) {
+      if (got.detected_flags[i]) flags[left[i]] = 1;
+    }
+  };
 
   // Pending patterns not yet fault-simulated.
   PatternSet pending(nl);
   auto flush_pending = [&]() {
     if (pending.size() == 0) return;
-    fault::simulate_comb_into(ctx, faults, pending,
-                              res.coverage.detected_flags.data());
+    drop(pending);
     pending = PatternSet(nl);
   };
 
@@ -75,14 +114,13 @@ TestGenResult generate_atpg_tests(const Netlist& nl,
       warm.add(pv);
       res.patterns.add(pv);
     }
-    fault::simulate_comb_into(ctx, faults, warm,
-                              res.coverage.detected_flags.data());
+    drop(warm);
   }
 
   for (std::size_t f = 0; f < faults.size(); ++f) {
-    if (res.coverage.detected_flags[f]) continue;
-    if (pending.size() >= options.drop_batch) flush_pending();
-    if (res.coverage.detected_flags[f]) continue;
+    if (flags[f]) continue;
+    if (pending.size() >= kDropBatch) flush_pending();
+    if (flags[f]) continue;
 
     ++res.atpg_calls;
     const AtpgOutcome outcome = podem.generate(faults[f], rng);
@@ -93,7 +131,7 @@ TestGenResult generate_atpg_tests(const Netlist& nl,
         res.patterns.add(pv);
         // The target fault is detected by construction; mark it now so an
         // abort later in the batch cannot resurrect it.
-        res.coverage.detected_flags[f] = 1;
+        flags[f] = 1;
         break;
       }
       case AtpgStatus::kUntestable:
@@ -106,10 +144,7 @@ TestGenResult generate_atpg_tests(const Netlist& nl,
   }
   flush_pending();
 
-  res.coverage.detected = 0;
-  for (auto flag : res.coverage.detected_flags) {
-    res.coverage.detected += flag;
-  }
+  res.coverage.recount();
   return res;
 }
 

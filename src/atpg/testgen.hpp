@@ -32,8 +32,6 @@ struct TestGenResult {
 
 struct TestGenOptions {
   PodemOptions podem;
-  /// Patterns accumulated between fault-dropping simulation passes.
-  unsigned drop_batch = 16;
   /// Random patterns simulated before any deterministic generation (cheap
   /// pre-drop of the easy faults). 0 disables.
   unsigned random_warmup = 64;
@@ -41,9 +39,6 @@ struct TestGenOptions {
   /// Pre-compiled netlist lent in by a long-lived caller (GradingSession);
   /// must match the netlist under test. nullptr = compile per call.
   const netlist::CompiledNetlist* compiled = nullptr;
-  /// Persistent artifact store for the fault-dropping engine's compiled
-  /// netlist when none is lent in; generated tests are identical either way.
-  store::ArtifactStore* store = nullptr;
 };
 
 TestGenResult generate_atpg_tests(const netlist::Netlist& nl,

@@ -29,14 +29,13 @@ std::string hex(std::uint32_t v) {
 
 }  // namespace
 
-Routine make_random_instruction_routine(const RandomProgramOptions& options,
-                                        const CodegenOptions& codegen) {
+Routine make_random_instruction_routine(const RandomProgramOptions& options) {
   Rng rng(options.seed);
   std::string as;
   auto line = [&](const std::string& s) { as += "  " + s + "\n"; };
 
-  line("li   $s7, " + hex(codegen.misr_poly));
-  line("li   $s2, " + hex(codegen.misr_seed));
+  line("li   $s7, " + hex(kMisrPoly));
+  line("li   $s2, " + hex(kMisrSeed));
   line("li   $sp, " + hex(options.data_base));
   // Seed the sandbox registers with random values.
   for (int r : kPool) {

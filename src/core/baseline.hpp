@@ -38,7 +38,6 @@ struct RandomProgramOptions {
 /// Generates the functional-baseline routine. The routine is deterministic
 /// in `options.seed`, never raises an exception (aligned sandboxed memory
 /// accesses only), always terminates, and unloads one signature.
-Routine make_random_instruction_routine(const RandomProgramOptions& options,
-                                        const CodegenOptions& codegen = {});
+Routine make_random_instruction_routine(const RandomProgramOptions& options);
 
 }  // namespace sbst::core

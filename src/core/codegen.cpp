@@ -102,9 +102,9 @@ class ConstPool {
   std::map<std::uint32_t, std::string> values_;
 };
 
-void emit_seed(Asm& as, const CodegenOptions& opts) {
-  as.line("li   $s7, %s", hex(opts.misr_poly).c_str());
-  as.line("li   $s2, %s", hex(opts.misr_seed).c_str());
+void emit_seed(Asm& as) {
+  as.line("li   $s7, %s", hex(kMisrPoly).c_str());
+  as.line("li   $s2, %s", hex(kMisrSeed).c_str());
 }
 
 void emit_unload(Asm& as, unsigned slot) {
@@ -157,10 +157,10 @@ std::uint32_t misr_reference(const std::vector<std::uint32_t>& responses,
 
 // ---------------------------------------------------------------- ALU ------
 
-Routine make_alu_routine(const CodegenOptions& opts) {
+Routine make_alu_routine() {
   Asm as;
   as.comment("ALU self-test: RegD (L + I)");
-  emit_seed(as, opts);
+  emit_seed(as);
   ConstPool pool(as);
 
   const auto tests = regular_alu_tests(32);
@@ -236,14 +236,21 @@ Routine make_alu_routine(const CodegenOptions& opts) {
 
 // ------------------------------------------------------------- shifter -----
 
-Routine make_shifter_routine(const ProcessorModel& model,
-                             const CodegenOptions& opts) {
+// PODEM settings of the shifter's constrained ATPG. A small random warmup
+// retires the easy faults before deterministic generation: 8 patterns
+// minimise the total routine size (0 leaves more work to PODEM, 32+ adds
+// dead code). Each shift op's pass is seeded kShifterAtpgSeed + op.
+constexpr unsigned kShifterBacktrackLimit = 20000;
+constexpr unsigned kShifterRandomWarmup = 8;
+constexpr std::uint64_t kShifterAtpgSeed = 1;
+
+Routine make_shifter_routine(const ProcessorModel& model) {
   const netlist::Netlist& nl = model.component(CutId::kShifter).netlist;
   fault::FaultUniverse universe(nl);
 
   Asm as;
   as.comment("Shifter self-test: AtpgD (I), constrained ATPG per shift op");
-  emit_seed(as, opts);
+  emit_seed(as);
 
   std::vector<fault::Fault> remaining = universe.collapsed();
   std::size_t patterns = 0;
@@ -251,9 +258,9 @@ Routine make_shifter_routine(const ProcessorModel& model,
     atpg::InputConstraints cons;
     cons.fix_port(nl, "op", static_cast<std::uint64_t>(op));
     atpg::TestGenOptions tg;
-    tg.podem.backtrack_limit = opts.atpg_backtrack_limit;
-    tg.random_warmup = opts.atpg_random_warmup;
-    tg.seed = opts.seed + static_cast<std::uint64_t>(op);
+    tg.podem.backtrack_limit = kShifterBacktrackLimit;
+    tg.random_warmup = kShifterRandomWarmup;
+    tg.seed = kShifterAtpgSeed + static_cast<std::uint64_t>(op);
     const atpg::TestGenResult res =
         atpg::generate_atpg_tests(nl, remaining, cons, tg);
 
@@ -290,10 +297,13 @@ Routine make_shifter_routine(const ProcessorModel& model,
 
 // ---------------------------------------------------------- multiplier -----
 
-Routine make_multiplier_routine(const CodegenOptions& opts) {
+// Pseudorandom operand pairs of the multiplier's Figure-3 mop-up loop.
+constexpr unsigned kMulMopUpIterations = 128;
+
+Routine make_multiplier_routine() {
   Asm as;
   as.comment("Parallel multiplier self-test: RegD (L + I)");
-  emit_seed(as, opts);
+  emit_seed(as);
   ConstPool pool(as);
   const std::string ones = pool.reg(0xffffffffu);
 
@@ -340,7 +350,7 @@ Routine make_multiplier_routine(const CodegenOptions& opts) {
   as.comment("pseudorandom mop-up loop (software LFSR)");
   as.line("li   $s0, 0x1d872b41");
   as.line("li   $s1, 0x9e3779b9");
-  as.line("li   $s5, %u", opts.lfsr_iterations / 2);
+  as.line("li   $s5, %u", kMulMopUpIterations);
   as.line("add  $s4, $zero, $zero");
   as.label("mul_pr");
   as.line("andi $t9, $s0, 1");
@@ -367,15 +377,15 @@ Routine make_multiplier_routine(const CodegenOptions& opts) {
           .style = "RegD (L+I) + PR",
           .assembly = as.take(),
           .sig_slot = 0,
-          .pattern_count = tests.size() + opts.lfsr_iterations / 2};
+          .pattern_count = tests.size() + kMulMopUpIterations};
 }
 
 // -------------------------------------------------------------- divider ----
 
-Routine make_divider_routine(const CodegenOptions& opts) {
+Routine make_divider_routine() {
   Asm as;
   as.comment("Serial divider self-test: RegD (L + I)");
-  emit_seed(as, opts);
+  emit_seed(as);
   ConstPool pool(as);
   const std::string ones = pool.reg(0xffffffffu);
   const std::string one = pool.reg(1u);
@@ -431,11 +441,11 @@ Routine make_divider_routine(const CodegenOptions& opts) {
 
 // -------------------------------------------------------- register file ----
 
-Routine make_regfile_routine(const CodegenOptions& opts) {
+Routine make_regfile_routine() {
   Asm as;
   as.comment("Register file self-test: RegD (I), two phases (paper 3.3)");
   as.comment("phase 1: low half $1..$15 under test, MISR in high registers");
-  emit_seed(as, opts);
+  emit_seed(as);
 
   unsigned label_counter = 0;
   auto inline_absorb_lo = [&](unsigned reg) {
@@ -547,10 +557,10 @@ Routine make_regfile_routine(const CodegenOptions& opts) {
 
 // ---------------------------------------------------- memory controller ----
 
-Routine make_memctrl_routine(const CodegenOptions& opts) {
+Routine make_memctrl_routine() {
   Asm as;
   as.comment("Memory controller self-test: RegD (I) lane sweep");
-  emit_seed(as, opts);
+  emit_seed(as);
   as.line("la   $s3, memtest_data");
 
   std::size_t patterns = 0;
@@ -614,10 +624,10 @@ Routine make_memctrl_routine(const CodegenOptions& opts) {
 
 // ------------------------------------------------------------- control -----
 
-Routine make_control_routine(const CodegenOptions& opts) {
+Routine make_control_routine() {
   Asm as;
   as.comment("Control logic functional test: every supported opcode");
-  emit_seed(as, opts);
+  emit_seed(as);
   as.line("li   $s0, 0x12345678");
   as.line("li   $s1, 0x00000007");
 
@@ -717,11 +727,10 @@ Routine make_control_routine(const CodegenOptions& opts) {
 
 // ----------------------------------------------------- A-VC routine --------
 
-Routine make_avc_address_routine(const CodegenOptions& opts,
-                                 unsigned addr_bits) {
+Routine make_avc_address_routine(unsigned addr_bits) {
   Asm as;
   as.comment("A-VC address sweep: distributed references walking the MAR");
-  emit_seed(as, opts);
+  emit_seed(as);
   std::size_t patterns = 0;
   // Word-aligned walking-bit addresses, well above the program image.
   for (unsigned k = 4; k <= addr_bits; ++k) {
@@ -751,11 +760,10 @@ Routine make_avc_address_routine(const CodegenOptions& opts,
 // ------------------------------------------------- code-style studies ------
 
 Routine make_fig1_immediate_routine(const std::vector<AluOpnd>& tests,
-                                    const CodegenOptions& opts,
                                     Compaction compaction) {
   Asm as;
   as.comment("Figure 1 code style: patterns via immediate instructions");
-  emit_seed(as, opts);
+  emit_seed(as);
   for (const AluOpnd& t : tests) {
     as.line("li   $s0, %s", hex(t.a).c_str());
     as.line("li   $s1, %s", hex(t.b).c_str());
@@ -778,10 +786,10 @@ Routine make_fig1_immediate_routine(const std::vector<AluOpnd>& tests,
 }
 
 Routine make_fig2_datafetch_routine(const std::vector<AluOpnd>& tests,
-                                    AluOp op, const CodegenOptions& opts) {
+                                    AluOp op) {
   Asm as;
   as.comment("Figure 2 code style: patterns fetched from data memory");
-  emit_seed(as, opts);
+  emit_seed(as);
   as.line("la   $s3, fig2_patterns");
   as.line("li   $s4, %zu", tests.size());
   as.line("add  $t0, $zero, $zero");
@@ -810,11 +818,10 @@ Routine make_fig2_datafetch_routine(const std::vector<AluOpnd>& tests,
 }
 
 Routine make_fig3_lfsr_routine(AluOp op, std::uint32_t seed_x,
-                               std::uint32_t seed_y, unsigned iterations,
-                               const CodegenOptions& opts) {
+                               std::uint32_t seed_y, unsigned iterations) {
   Asm as;
   as.comment("Figure 3 code style: software-LFSR pseudorandom loop");
-  emit_seed(as, opts);
+  emit_seed(as);
   as.line("li   $s0, %s", hex(seed_x).c_str());
   as.line("li   $s1, %s", hex(seed_y).c_str());
   as.line("li   $s5, %u", iterations);
@@ -848,10 +855,10 @@ Routine make_fig3_lfsr_routine(AluOp op, std::uint32_t seed_x,
           .pattern_count = iterations};
 }
 
-Routine make_fig4_regular_routine(AluOp op, const CodegenOptions& opts) {
+Routine make_fig4_regular_routine(AluOp op) {
   Asm as;
   as.comment("Figure 4 code style: regular deterministic loop");
-  emit_seed(as, opts);
+  emit_seed(as);
   as.comment("for every X = 1<<i, apply Y = 1<<j for all j");
   as.line("li   $s0, 1");
   as.label("fig4_x");

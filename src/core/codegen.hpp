@@ -19,6 +19,7 @@
 // $s2 signature, $s7 polynomial, $t8 response, $t9 scratch.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -42,22 +43,18 @@ struct Routine {
   std::size_t pattern_count = 0;
 };
 
+/// The software MISR's initial signature ($s2) and feedback polynomial
+/// ($s7, Lfsr32::kDefaultPoly), loaded by every routine before it absorbs
+/// its first response.
+inline constexpr std::uint32_t kMisrSeed = 0xffffffffu;
+inline constexpr std::uint32_t kMisrPoly = 0x80200003u;
+
 struct CodegenOptions {
-  std::uint32_t misr_seed = 0xffffffffu;
-  std::uint32_t misr_poly = 0x80200003u;  // Lfsr32::kDefaultPoly
   /// Insert nops for a pipeline without forwarding (paper §3.3: "nop
   /// instructions are inserted accordingly when forwarding is not
   /// supported"). Applied by TestProgramBuilder to every routine and to the
   /// MISR subroutines at assembly time.
   bool schedule_for_no_forwarding = false;
-  /// LFSR-loop routine iterations (Figure 3 style).
-  unsigned lfsr_iterations = 256;
-  /// ATPG knobs for the shifter routine. A small random warmup retires the
-  /// easy faults before deterministic generation: 8 patterns minimise the
-  /// total routine size (0 leaves more work to PODEM, 32+ adds dead code).
-  unsigned atpg_backtrack_limit = 20000;
-  unsigned atpg_random_warmup = 8;
-  std::uint64_t seed = 1;
 };
 
 /// Emits the shared MISR subroutines:
@@ -74,26 +71,25 @@ std::uint32_t misr_reference(const std::vector<std::uint32_t>& responses,
 // ---- per-CUT routine generators (the Table 1 rows) -------------------------
 
 /// ALU: RegD (L + I) — immediate constants + three Figure-4 loops.
-Routine make_alu_routine(const CodegenOptions& opts);
+Routine make_alu_routine();
 
 /// Shifter: AtpgD (I) — constrained-ATPG patterns through sllv/srlv/srav.
-Routine make_shifter_routine(const ProcessorModel& model,
-                             const CodegenOptions& opts);
+Routine make_shifter_routine(const ProcessorModel& model);
 
 /// Parallel multiplier: RegD (L + I).
-Routine make_multiplier_routine(const CodegenOptions& opts);
+Routine make_multiplier_routine();
 
 /// Serial divider: RegD (L + I).
-Routine make_divider_routine(const CodegenOptions& opts);
+Routine make_divider_routine();
 
 /// Register file: RegD (I), two-phase halves (paper §3.3).
-Routine make_regfile_routine(const CodegenOptions& opts);
+Routine make_regfile_routine();
 
 /// Memory controller: RegD (I) store/load lane sweep.
-Routine make_memctrl_routine(const CodegenOptions& opts);
+Routine make_memctrl_routine();
 
 /// Control logic: FT — every supported opcode executed and observed.
-Routine make_control_routine(const CodegenOptions& opts);
+Routine make_control_routine();
 
 /// A-VC address routine (deliberately NOT part of the default periodic
 /// program, paper §3.2): distributed sw/lw at walking-bit addresses to
@@ -101,8 +97,7 @@ Routine make_control_routine(const CodegenOptions& opts);
 /// coverage at the price of cache-hostile distributed references — the
 /// trade-off the paper cites for deferring A-VCs. `addr_bits` is the
 /// highest address bit swept (the CPU must own 2^(addr_bits+1) bytes).
-Routine make_avc_address_routine(const CodegenOptions& opts,
-                                 unsigned addr_bits = 19);
+Routine make_avc_address_routine(unsigned addr_bits = 19);
 
 // ---- code-style studies (Figures 1-4 on a common CUT) -----------------------
 
@@ -114,19 +109,15 @@ enum class Compaction { kMisr, kXorAccumulate };
 
 /// Figure 1: n ALU patterns as immediate instructions.
 Routine make_fig1_immediate_routine(const std::vector<AluOpnd>& tests,
-                                    const CodegenOptions& opts,
                                     Compaction compaction = Compaction::kMisr);
 /// Figure 2: the same patterns stored in memory, applied by a fetch loop.
 Routine make_fig2_datafetch_routine(const std::vector<AluOpnd>& tests,
-                                    rtlgen::AluOp op,
-                                    const CodegenOptions& opts);
+                                    rtlgen::AluOp op);
 /// Figure 3: software-LFSR loop applying `iterations` pseudorandom pairs
 /// to one ALU operation.
 Routine make_fig3_lfsr_routine(rtlgen::AluOp op, std::uint32_t seed_x,
-                               std::uint32_t seed_y, unsigned iterations,
-                               const CodegenOptions& opts);
+                               std::uint32_t seed_y, unsigned iterations);
 /// Figure 4: regular deterministic loop (walking-one family) for one op.
-Routine make_fig4_regular_routine(rtlgen::AluOp op,
-                                  const CodegenOptions& opts);
+Routine make_fig4_regular_routine(rtlgen::AluOp op);
 
 }  // namespace sbst::core

@@ -92,7 +92,6 @@ fault::SeqStimulus march_regfile_stimulus(
 }
 
 Routine make_march_regfile_routine(const MarchAlgorithm& algorithm,
-                                   const CodegenOptions& opts,
                                    std::uint32_t background) {
   std::string as;
   auto line = [&](const std::string& s) { as += "  " + s + "\n"; };
@@ -103,8 +102,8 @@ Routine make_march_regfile_routine(const MarchAlgorithm& algorithm,
   };
   line("# register-file " + algorithm.name + " (" +
        std::to_string(algorithm.ops_per_cell()) + "n), two-phase");
-  line("li   $s7, " + hex(opts.misr_poly));
-  line("li   $s2, " + hex(opts.misr_seed));
+  line("li   $s7, " + hex(kMisrPoly));
+  line("li   $s2, " + hex(kMisrSeed));
 
   const std::uint32_t v0 = background;
   const std::uint32_t v1 = ~background;

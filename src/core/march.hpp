@@ -57,7 +57,6 @@ fault::SeqStimulus march_regfile_stimulus(
 /// register file in the paper's two-phase arrangement (low half swept with
 /// the MISR in high registers, then vice versa).
 Routine make_march_regfile_routine(const MarchAlgorithm& algorithm,
-                                   const CodegenOptions& opts,
                                    std::uint32_t background = 0x55555555u);
 
 }  // namespace sbst::core

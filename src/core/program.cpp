@@ -21,13 +21,13 @@ TestProgramBuilder& TestProgramBuilder::add(Routine routine) {
 
 TestProgramBuilder& TestProgramBuilder::add_default_routines(
     const ProcessorModel& model) {
-  add(make_multiplier_routine(opts_));
-  add(make_divider_routine(opts_));
-  add(make_regfile_routine(opts_));
-  add(make_memctrl_routine(opts_));
-  add(make_shifter_routine(model, opts_));
-  add(make_alu_routine(opts_));
-  add(make_control_routine(opts_));
+  add(make_multiplier_routine());
+  add(make_divider_routine());
+  add(make_regfile_routine());
+  add(make_memctrl_routine());
+  add(make_shifter_routine(model));
+  add(make_alu_routine());
+  add(make_control_routine());
   return *this;
 }
 

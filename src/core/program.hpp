@@ -58,8 +58,6 @@ class TestProgramBuilder {
   TestProgram build_standalone(const Routine& routine,
                                std::uint32_t base = 0) const;
 
-  const CodegenOptions& options() const { return opts_; }
-
  private:
   CodegenOptions opts_;
   std::vector<Routine> routines_;

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "fault/sim_detail.hpp"
-#include "fault/sim_parallel.hpp"
 
 namespace sbst::fault {
 
@@ -27,8 +26,9 @@ ObserveSet resolve_observe(const Netlist& nl, const ObserveSet& observe) {
 
 void require_combinational(const Netlist& nl, const char* who) {
   if (!nl.is_combinational()) {
-    throw std::invalid_argument(std::string(who) +
-                                ": netlist has flip-flops; use simulate_seq");
+    throw std::invalid_argument(
+        std::string(who) +
+        ": netlist has flip-flops; use simulate_seq_parallel");
   }
 }
 
@@ -306,73 +306,6 @@ CoverageResult simulate_serial(const Netlist& nl,
   });
   res.recount();
   return res;
-}
-
-CoverageResult simulate_comb(const Netlist& nl,
-                             const std::vector<Fault>& faults,
-                             const PatternSet& patterns,
-                             const ObserveSet& observe, Engine engine,
-                             unsigned lanes) {
-  detail::require_combinational(nl, "simulate_comb");
-  SimOptions options;
-  options.num_threads = 1;
-  options.lane_parallel = false;
-  options.engine = engine;
-  options.lanes = lanes;
-  return simulate_comb_parallel(nl, faults, patterns, observe, options);
-}
-
-CoverageResult simulate_seq(const Netlist& nl,
-                            const std::vector<Fault>& faults,
-                            const SeqStimulus& stimulus,
-                            const ObserveSet& observe, Engine engine,
-                            unsigned lanes) {
-  SimOptions options;
-  options.num_threads = 1;
-  options.engine = engine;
-  options.lanes = lanes;
-  return simulate_seq_parallel(nl, faults, stimulus, observe, options);
-}
-
-void simulate_comb_into(const EngineContext& ctx,
-                        const std::vector<Fault>& faults,
-                        const PatternSet& patterns, std::uint8_t* flags) {
-  detail::require_combinational(ctx.netlist(), "simulate_comb_into");
-  if (detail::activation_of(faults) != detail::Activation::kAlways) {
-    throw std::invalid_argument(
-        "simulate_comb_into: stuck-at faults only (activation streams and "
-        "launch/capture pairs restart with every batch)");
-  }
-  ctx.grade_with_evaluator([&](auto& ev) {
-    detail::grade_blocks<detail::Activation::kAlways>(
-        ev, faults, 0, faults.size(), patterns, ctx.observe(), ctx.reach(),
-        flags);
-  });
-}
-
-std::vector<std::vector<bool>> good_responses(const Netlist& nl,
-                                              const PatternSet& patterns,
-                                              const ObserveSet& observe_in) {
-  detail::require_combinational(nl, "good_responses");
-  const ObserveSet observe = detail::resolve_observe(nl, observe_in);
-
-  std::vector<std::vector<bool>> out;
-  out.reserve(patterns.size());
-  Evaluator ev(nl);
-  for (std::size_t b = 0; b < patterns.block_count(); ++b) {
-    detail::apply_block(ev, patterns, b);
-    ev.eval();
-    const std::size_t lanes =
-        std::min<std::size_t>(64, patterns.size() - b * 64);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      std::vector<bool> row(observe.size());
-      for (std::size_t o = 0; o < observe.size(); ++o) {
-        row[o] = (ev.value(observe[o]) >> lane) & 1u;
-      }
-      out.push_back(std::move(row));
-    }
-  }
-  return out;
 }
 
 }  // namespace sbst::fault

@@ -1,8 +1,9 @@
 // Grading kernels shared by the simulators in sim.cpp and sim_parallel.cpp.
 // Internal to src/fault.
 //
-// Six kernels cover every fault model and schedule — three serial oracles
-// and three production kernels:
+// Six kernels cover every fault model and schedule — three serial oracles,
+// two production kernels (grade_cpt and grade_seq) and block PPSFP, which
+// only tests still reach:
 //
 //  * grade_serial / grade_seq_serial / grade_transition_serial: one fault
 //    at a time — the oracle loops behind simulate_serial (combinational,
@@ -12,8 +13,8 @@
 //    good sweep per block group plus one event-driven flip per
 //    fanout-free-region head that still has a live fault;
 //  * grade_blocks: PPSFP, Ev::kWords 64-pattern blocks per eval, one fault
-//    per eval with fault dropping (SimOptions::lane_parallel = false, and
-//    the incremental simulate_comb_into);
+//    per eval with fault dropping (SimOptions::lane_parallel = false, which
+//    only tests set);
 //  * grade_seq: lane packing through a clocked stimulus, the good machine
 //    in lane 0 and one faulty machine per other lane, with drop-and-repack
 //    of detected faults between segments (flip-flop lane bits move with

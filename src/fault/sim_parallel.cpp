@@ -96,7 +96,7 @@ void GradingPlan::add_seq(const EngineContext& ctx,
     throw std::invalid_argument(
         "sequential fault sim: transition faults are combinational-only "
         "(launch/capture pattern pairs); grade them with add_comb or "
-        "simulate_comb");
+        "simulate_comb_parallel");
   }
   const detail::SeqTrace* trace = &seq_entry(ctx, stimulus).trace;
   const std::size_t chunk = chunk_faults(ctx);

@@ -6,13 +6,15 @@
 // differential tests in tests/test_fault_parallel.cpp, tests/test_cpt.cpp
 // and tests/test_seq_cone.cpp:
 //
-//  * simulate_comb_parallel: combinational grading. With
-//    SimOptions::lane_parallel (the default) every worker runs
+//  * simulate_comb_parallel: combinational grading. Every worker runs
 //    critical-path tracing over its fault slice (grade_cpt): the
 //    evaluator's bit-lanes carry 64-pattern blocks, and one event-driven
 //    flip per fanout-free-region head grades every fault of that region.
-//    Without it, stuck-at, SEU and intermittent slices run block PPSFP
-//    (grade_blocks); transition faults always run critical-path tracing.
+//    This is the one production combinational path: `evaluate`, the bench
+//    programs and ATPG fault dropping (atpg/testgen.cpp) all grade through
+//    it. SimOptions::lane_parallel = false swaps in block PPSFP
+//    (grade_blocks) for stuck-at, SEU and intermittent slices; only tests
+//    set it.
 //  * simulate_seq_parallel: sequential grading; workers run the lane-packed
 //    grade_seq over disjoint fault slices, each lane batch sweeping only its
 //    live fault cone against one shared fault-free trace.
@@ -21,9 +23,6 @@
 // detected faults and repacks the survivors into fewer lane batches every
 // kRepackSegment cycles, and grade_cpt stops flipping a head once its
 // region has no live fault, but only ever within their own chunk.
-//
-// simulate_comb and simulate_seq (sim.hpp) are these front doors on one
-// thread, simulate_comb with the block schedule.
 //
 // Both compose with the evaluation engines in engine.hpp: with the event
 // engine the netlist is compiled once and every worker runs its own
@@ -68,7 +67,7 @@ struct SimOptions {
   /// Combinational kernel: critical-path tracing (grade_cpt) when set, else
   /// block PPSFP (grade_blocks) for stuck-at, SEU and intermittent faults;
   /// transition faults always take critical-path tracing. Detection flags
-  /// are identical either way.
+  /// are identical either way. Only tests clear it.
   bool lane_parallel = true;
   /// Evaluation engine (detection flags are identical for either choice):
   /// the event-driven compiled engine unless a test asks for the oracle.

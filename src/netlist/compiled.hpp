@@ -71,24 +71,10 @@
 #include <memory>
 #include <vector>
 
+#include "common/inline.hpp"
 #include "common/serialize.hpp"
 #include "netlist/eval.hpp"
 #include "netlist/netlist.hpp"
-
-// The compute helpers sit on the innermost path of the full sweep (gates x
-// W words per eval). Left to its own devices GCC outlines them (one call +
-// vzeroupper + a ymm spill per gate), which costs more than the gate
-// function itself — force the inline. `out` is declared restrict: it points
-// at the gate's own value block, which no pin read of the same gate can
-// alias (the netlist is cycle-checked, so in[p] != g), and the promise is
-// what lets the per-case W-word store loops SLP-vectorize after inlining.
-#if defined(__GNUC__) || defined(__clang__)
-#define SBST_ALWAYS_INLINE __attribute__((always_inline))
-#define SBST_RESTRICT __restrict__
-#else
-#define SBST_ALWAYS_INLINE
-#define SBST_RESTRICT
-#endif
 
 namespace sbst::netlist {
 
@@ -408,6 +394,13 @@ class CompiledEvaluatorT {
  private:
   CompiledEvaluatorT(std::shared_ptr<const CompiledNetlist> owned,
                      const CompiledNetlist& cn);
+  // The compute helpers sit on the innermost path of the full sweep (gates x
+  // W words per eval). Left to its own devices GCC outlines them (one call +
+  // vzeroupper + a ymm spill per gate), which costs more than the gate
+  // function itself — force the inline. `out` is declared restrict: it points
+  // at the gate's own value block, which no pin read of the same gate can
+  // alias (the netlist is cycle-checked, so in[p] != g), and the promise is
+  // what lets the per-case W-word store loops SLP-vectorize after inlining.
   SBST_ALWAYS_INLINE void compute(NetId g,
                                   std::uint64_t* SBST_RESTRICT out) const;
   SBST_ALWAYS_INLINE void compute_plain(NetId g,

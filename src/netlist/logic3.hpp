@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "common/inline.hpp"
 #include "netlist/netlist.hpp"
 
 namespace sbst::netlist {
@@ -43,9 +44,11 @@ inline Logic3 mux3(Logic3 s, Logic3 d0, Logic3 d1) {
 
 /// Output of a combinational gate of kind `kind` whose input pin p holds
 /// `pin(p)`. Inputs and flip-flops have no gate rule: their values come
-/// from outside the gate, so they throw.
+/// from outside the gate, so they throw. Forced inline: PODEM's implication
+/// calls it twice per gate per decision, and the throwing default case
+/// otherwise keeps GCC from inlining it there.
 template <class Pin>
-Logic3 eval_gate3(GateKind kind, const Pin& pin) {
+SBST_ALWAYS_INLINE inline Logic3 eval_gate3(GateKind kind, const Pin& pin) {
   switch (kind) {
     case GateKind::kConst0: return kLogic0;
     case GateKind::kConst1: return kLogic1;

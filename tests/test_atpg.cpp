@@ -2,9 +2,12 @@
 // untestability proofs, and the test-set generation driver.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "atpg/podem.hpp"
 #include "atpg/testgen.hpp"
 #include "fault/sim.hpp"
+#include "fault/sim_parallel.hpp"
 #include "rtlgen/alu.hpp"
 #include "rtlgen/shifter.hpp"
 
@@ -180,8 +183,73 @@ TEST(TestGen, ResultPatternsReallyAchieveReportedCoverage) {
   TestGenOptions opts;
   opts.seed = 11;
   const TestGenResult res = generate_atpg_tests(nl, u.collapsed(), {}, opts);
-  const auto replay = fault::simulate_comb(nl, u.collapsed(), res.patterns);
-  EXPECT_EQ(replay.detected, res.coverage.detected);
+  const auto replay =
+      fault::simulate_comb_parallel(nl, u.collapsed(), res.patterns);
+  EXPECT_EQ(replay.detected_flags, res.coverage.detected_flags);
+}
+
+// Fault dropping grades each flush against the faults still undetected, so
+// the final flags must be exactly what the serial oracle finds over every
+// pattern the generator returned: a detection missed by a flush, a flag not
+// copied back, or a by-construction claim PODEM cannot back would all show.
+void expect_flags_match_oracle(const Netlist& nl,
+                               const std::vector<Fault>& faults,
+                               const TestGenResult& res) {
+  ASSERT_EQ(res.coverage.detected_flags.size(), faults.size());
+  const fault::CoverageResult oracle =
+      fault::simulate_serial(nl, faults, res.patterns);
+  EXPECT_EQ(res.coverage.detected_flags, oracle.detected_flags);
+  EXPECT_EQ(res.coverage.detected, oracle.detected);
+}
+
+TEST(TestGen, DetectionFlagsMatchSerialOracleOnAlu8) {
+  const Netlist nl = rtlgen::build_alu({.width = 8});
+  const FaultUniverse u(nl);
+  const TestGenResult res = generate_atpg_tests(nl, u.collapsed());
+  EXPECT_GT(res.patterns.size(), 64u);  // warmup plus deterministic tests
+  expect_flags_match_oracle(nl, u.collapsed(), res);
+}
+
+TEST(TestGen, DetectionFlagsMatchSerialOracleOnConstrainedShifterPasses) {
+  // The production shifter call (make_shifter_routine): one constrained
+  // pass per shift op, each over the faults the previous pass left, with a
+  // backtrack limit of 20000, 8 warmup patterns and seed 1 + op.
+  const Netlist nl = rtlgen::build_shifter({.width = 32});
+  std::vector<Fault> remaining = FaultUniverse(nl).collapsed();
+  for (const rtlgen::ShiftOp op :
+       {rtlgen::ShiftOp::kSll, rtlgen::ShiftOp::kSrl,
+        rtlgen::ShiftOp::kSra}) {
+    SCOPED_TRACE(static_cast<int>(op));
+    InputConstraints cons;
+    cons.fix_port(nl, "op", static_cast<std::uint64_t>(op));
+    TestGenOptions tg;
+    tg.podem.backtrack_limit = 20000;
+    tg.random_warmup = 8;
+    tg.seed = 1 + static_cast<std::uint64_t>(op);
+    const TestGenResult res = generate_atpg_tests(nl, remaining, cons, tg);
+    EXPECT_GT(res.coverage.detected, 0u);
+    expect_flags_match_oracle(nl, remaining, res);
+    std::vector<Fault> next;
+    for (std::size_t i = 0; i < remaining.size(); ++i) {
+      if (!res.coverage.detected_flags[i]) next.push_back(remaining[i]);
+    }
+    remaining = std::move(next);
+    if (remaining.empty()) break;
+  }
+}
+
+TEST(TestGen, RejectsFaultModelsOtherThanStuckAt) {
+  // Activation streams and launch/capture pairs restart with every
+  // fault-dropping pass, so split passes would not add up to one grading.
+  const Netlist nl = rtlgen::build_alu({.width = 4});
+  for (const fault::FaultModel model :
+       {fault::FaultModel::kTransition, fault::FaultModel::kTransientSEU,
+        fault::FaultModel::kIntermittent}) {
+    const FaultUniverse u(nl, model);
+    EXPECT_THROW(generate_atpg_tests(nl, u.collapsed()),
+                 std::invalid_argument)
+        << fault::fault_model_name(model);
+  }
 }
 
 TEST(TestGen, RandomTestsAreDeterministicAndConstrained) {
@@ -218,7 +286,8 @@ TEST(TestGen, RandomPatternsResistantFaultsNeedAtpg) {
   FaultUniverse u(nl);
 
   const PatternSet random = generate_random_tests(nl, 256, 1);
-  const auto rand_cov = fault::simulate_comb(nl, u.collapsed(), random);
+  const auto rand_cov =
+      fault::simulate_comb_parallel(nl, u.collapsed(), random);
   EXPECT_LT(rand_cov.percent(), 100.0);
 
   const TestGenResult det = generate_atpg_tests(nl, u.collapsed());

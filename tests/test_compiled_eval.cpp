@@ -650,8 +650,11 @@ TEST(EngineSelect, SerialAndCombSimulatorsIdenticalAcrossEngines) {
                     .detected_flags)
           << "serial/l" << lanes;
       EXPECT_EQ(oracle.detected_flags,
-                fault::simulate_comb(nl, u.collapsed(), ps, {},
-                                     Engine::kEvent, lanes)
+                fault::simulate_comb_parallel(nl, u.collapsed(), ps, {},
+                                              {.num_threads = 1,
+                                               .lane_parallel = false,
+                                               .engine = Engine::kEvent,
+                                               .lanes = lanes})
                     .detected_flags)
           << "comb/l" << lanes;
     }
@@ -673,12 +676,15 @@ TEST(EngineSelect, SeqSimulatorIdenticalAcrossEngines) {
   const CoverageResult oracle =
       fault::simulate_serial(nl, u.collapsed(), st);
   EXPECT_EQ(oracle.detected_flags,
-            fault::simulate_seq(nl, u.collapsed(), st, {}, Engine::kReference)
+            fault::simulate_seq_parallel(
+                nl, u.collapsed(), st, {},
+                {.num_threads = 1, .engine = Engine::kReference})
                 .detected_flags);
   for (unsigned lanes : {1u, 4u}) {
     EXPECT_EQ(oracle.detected_flags,
-              fault::simulate_seq(nl, u.collapsed(), st, {}, Engine::kEvent,
-                                  lanes)
+              fault::simulate_seq_parallel(
+                  nl, u.collapsed(), st, {},
+                  {.num_threads = 1, .engine = Engine::kEvent, .lanes = lanes})
                   .detected_flags)
         << "l" << lanes;
   }
@@ -754,8 +760,11 @@ TEST(EngineSelect, RestrictedObserveSetExercisesConePrefilter) {
                                                        Engine::kReference);
   for (unsigned lanes : {1u, 4u}) {
     EXPECT_EQ(oracle.detected_flags,
-              fault::simulate_comb(nl, u.collapsed(), ps, narrow,
-                                   Engine::kEvent, lanes)
+              fault::simulate_comb_parallel(nl, u.collapsed(), ps, narrow,
+                                            {.num_threads = 1,
+                                             .lane_parallel = false,
+                                             .engine = Engine::kEvent,
+                                             .lanes = lanes})
                   .detected_flags)
         << "l" << lanes;
     SimOptions opt;
@@ -788,7 +797,9 @@ TEST(EngineSelect, RtlgenComponentCoverageIdenticalAcrossEngines) {
         fault::simulate_serial(nl, u.collapsed(), ps, {}, Engine::kReference);
     for (Engine e : {Engine::kReference, Engine::kEvent}) {
       EXPECT_EQ(oracle.detected_flags,
-                fault::simulate_comb(nl, u.collapsed(), ps, {}, e)
+                fault::simulate_comb_parallel(
+                    nl, u.collapsed(), ps, {},
+                    {.num_threads = 1, .lane_parallel = false, .engine = e})
                     .detected_flags)
           << fault::engine_name(e);
       SimOptions opt;

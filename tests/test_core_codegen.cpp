@@ -36,11 +36,10 @@ ProcessorModel& shared_model() {
 }
 
 std::vector<Routine> all_routines() {
-  CodegenOptions opts;
-  return {make_multiplier_routine(opts), make_divider_routine(opts),
-          make_regfile_routine(opts),    make_memctrl_routine(opts),
-          make_shifter_routine(shared_model(), opts),
-          make_alu_routine(opts),        make_control_routine(opts)};
+  return {make_multiplier_routine(), make_divider_routine(),
+          make_regfile_routine(),    make_memctrl_routine(),
+          make_shifter_routine(shared_model()),
+          make_alu_routine(),        make_control_routine()};
 }
 
 TEST(Codegen, MisrSubroutineMatchesGoldenModel) {
@@ -49,11 +48,10 @@ TEST(Codegen, MisrSubroutineMatchesGoldenModel) {
   const std::vector<std::uint32_t> responses = {0xdeadbeefu, 0x12345678u,
                                                 0x00000000u, 0xffffffffu,
                                                 0xa5a5a5a5u};
-  CodegenOptions opts;
   std::string body;
   char buf[64];
   std::snprintf(buf, sizeof buf, "  li $s7, 0x%x\n  li $s2, 0x%x\n",
-                opts.misr_poly, opts.misr_seed);
+                kMisrPoly, kMisrSeed);
   body += buf;
   for (std::uint32_t r : responses) {
     std::snprintf(buf, sizeof buf, "  li $t8, 0x%x\n", r);
@@ -67,7 +65,7 @@ TEST(Codegen, MisrSubroutineMatchesGoldenModel) {
   const RunResult run = run_routine(r);
   EXPECT_TRUE(run.stats.halted);
   EXPECT_EQ(run.signatures[0],
-            misr_reference(responses, opts.misr_seed, opts.misr_poly));
+            misr_reference(responses, kMisrSeed, kMisrPoly));
 }
 
 TEST(Codegen, EveryRoutineAssemblesRunsAndHalts) {
@@ -116,7 +114,7 @@ TEST(Codegen, SignatureSlotsAreDistinct) {
 
 TEST(Codegen, RegfileRoutineAvoidsDataMemoryDuringTest) {
   // The two-phase scheme exists exactly to avoid stores (paper §3.3).
-  const RunResult run = run_routine(make_regfile_routine({}));
+  const RunResult run = run_routine(make_regfile_routine());
   EXPECT_EQ(run.stats.stores, 1u);
   EXPECT_EQ(run.stats.loads, 0u);
 }
@@ -134,12 +132,12 @@ TEST(CodeStyles, Fig1SizeLinearInPatterns) {
   // Paper: "The code size depends linearly on the number of test patterns."
   TestProgramBuilder builder;
   const auto four = builder.build_standalone(
-      make_fig1_immediate_routine(small_pattern_list(), {}));
+      make_fig1_immediate_routine(small_pattern_list()));
   auto eight_list = small_pattern_list();
   auto more = small_pattern_list();
   eight_list.insert(eight_list.end(), more.begin(), more.end());
   const auto eight = builder.build_standalone(
-      make_fig1_immediate_routine(eight_list, {}));
+      make_fig1_immediate_routine(eight_list));
   const std::size_t delta =
       eight.sections[0].size_words() - four.sections[0].size_words();
   // Each extra pattern costs 3-6 words (li/li/jal/apply, li width varies).
@@ -153,10 +151,10 @@ TEST(CodeStyles, Fig2SizeIndependentOfPatternCountButDataGrows) {
   TestProgramBuilder builder;
   auto longer = small_pattern_list();
   for (int i = 0; i < 12; ++i) longer.push_back(small_pattern_list()[i % 4]);
-  const Routine a = make_fig2_datafetch_routine(small_pattern_list(),
-                                                rtlgen::AluOp::kAdd, {});
+  const Routine a =
+      make_fig2_datafetch_routine(small_pattern_list(), rtlgen::AluOp::kAdd);
   const Routine b =
-      make_fig2_datafetch_routine(longer, rtlgen::AluOp::kAdd, {});
+      make_fig2_datafetch_routine(longer, rtlgen::AluOp::kAdd);
   const auto pa = builder.build_standalone(a);
   const auto pb = builder.build_standalone(b);
   EXPECT_EQ(pa.sections[0].size_words(), pb.sections[0].size_words());
@@ -164,8 +162,8 @@ TEST(CodeStyles, Fig2SizeIndependentOfPatternCountButDataGrows) {
 }
 
 TEST(CodeStyles, Fig2LoadsEveryPatternFromMemory) {
-  const Routine r = make_fig2_datafetch_routine(small_pattern_list(),
-                                                rtlgen::AluOp::kAdd, {});
+  const Routine r =
+      make_fig2_datafetch_routine(small_pattern_list(), rtlgen::AluOp::kAdd);
   const RunResult run = run_routine(r);
   EXPECT_TRUE(run.stats.halted);
   // Two loads per pattern plus the final signature store.
@@ -178,9 +176,9 @@ TEST(CodeStyles, Fig1AndFig2ProduceSameSignature) {
   // matter how the patterns reach the CUT.
   auto only_add = small_pattern_list();
   const RunResult f1 =
-      run_routine(make_fig1_immediate_routine(only_add, {}));
+      run_routine(make_fig1_immediate_routine(only_add));
   const RunResult f2 = run_routine(
-      make_fig2_datafetch_routine(only_add, rtlgen::AluOp::kAdd, {}));
+      make_fig2_datafetch_routine(only_add, rtlgen::AluOp::kAdd));
   EXPECT_EQ(f1.signatures[7], f2.signatures[7]);
 }
 
@@ -189,23 +187,22 @@ TEST(CodeStyles, Fig3LfsrMatchesSoftwareModel) {
   // verify via the signature of absorbing op(x_i, y_i).
   const unsigned n = 40;
   const std::uint32_t seed_x = 0x13572468u, seed_y = 0x2468ace1u;
-  CodegenOptions opts;
-  const RunResult run = run_routine(make_fig3_lfsr_routine(
-      rtlgen::AluOp::kXor, seed_x, seed_y, n, opts));
-  Lfsr32 x(seed_x, opts.misr_poly), y(seed_y, opts.misr_poly);
+  const RunResult run = run_routine(
+      make_fig3_lfsr_routine(rtlgen::AluOp::kXor, seed_x, seed_y, n));
+  Lfsr32 x(seed_x, kMisrPoly), y(seed_y, kMisrPoly);
   std::vector<std::uint32_t> responses;
   for (unsigned i = 0; i < n; ++i) {
     responses.push_back(x.step() ^ y.step());
   }
   EXPECT_EQ(run.signatures[7],
-            misr_reference(responses, opts.misr_seed, opts.misr_poly));
+            misr_reference(responses, kMisrSeed, kMisrPoly));
 }
 
 TEST(CodeStyles, Fig3ExecutionTimeLinearInIterations) {
   const RunResult short_run = run_routine(
-      make_fig3_lfsr_routine(rtlgen::AluOp::kAdd, 1, 2, 64, {}));
+      make_fig3_lfsr_routine(rtlgen::AluOp::kAdd, 1, 2, 64));
   const RunResult long_run = run_routine(
-      make_fig3_lfsr_routine(rtlgen::AluOp::kAdd, 1, 2, 128, {}));
+      make_fig3_lfsr_routine(rtlgen::AluOp::kAdd, 1, 2, 128));
   const double ratio =
       static_cast<double>(long_run.stats.cpu_cycles) /
       static_cast<double>(short_run.stats.cpu_cycles);
@@ -214,7 +211,7 @@ TEST(CodeStyles, Fig3ExecutionTimeLinearInIterations) {
 }
 
 TEST(CodeStyles, Fig4AppliesFullCrossProduct) {
-  const Routine r = make_fig4_regular_routine(rtlgen::AluOp::kAdd, {});
+  const Routine r = make_fig4_regular_routine(rtlgen::AluOp::kAdd);
   const RunResult run = run_routine(r);
   EXPECT_TRUE(run.stats.halted);
   // 32x32 inner iterations plus loop overhead: >= 1024 absorbs, each >= 10
@@ -228,14 +225,14 @@ TEST(CodeStyles, LoopStylesHaveSmallCode) {
   // Figures 2/3/4 share the defining property: compact loops.
   TestProgramBuilder builder;
   EXPECT_LT(builder
-                .build_standalone(make_fig3_lfsr_routine(
-                    rtlgen::AluOp::kAdd, 1, 2, 4096, {}))
+                .build_standalone(
+                    make_fig3_lfsr_routine(rtlgen::AluOp::kAdd, 1, 2, 4096))
                 .sections[0]
                 .size_words(),
             40u);
   EXPECT_LT(builder
-                .build_standalone(make_fig4_regular_routine(
-                    rtlgen::AluOp::kAdd, {}))
+                .build_standalone(
+                    make_fig4_regular_routine(rtlgen::AluOp::kAdd))
                 .sections[0]
                 .size_words(),
             30u);

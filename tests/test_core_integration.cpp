@@ -38,8 +38,8 @@ TEST(Integration, ProgramBuildsWithSevenRoutines) {
 
 TEST(Integration, DuplicateRoutineRejected) {
   TestProgramBuilder b;
-  b.add(make_alu_routine({}));
-  EXPECT_THROW(b.add(make_alu_routine({})), std::invalid_argument);
+  b.add(make_alu_routine());
+  EXPECT_THROW(b.add(make_alu_routine()), std::invalid_argument);
 }
 
 TEST(Integration, FullEvaluationMatchesPaperShape) {

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/tpg.hpp"
-#include "fault/sim.hpp"
+#include "fault/sim_parallel.hpp"
 #include "rtlgen/alu.hpp"
 #include "rtlgen/control.hpp"
 #include "rtlgen/divider.hpp"
@@ -21,12 +21,12 @@ using netlist::Netlist;
 double grade_comb(const Netlist& nl, const fault::PatternSet& ps,
                   const fault::ObserveSet& obs = {}) {
   fault::FaultUniverse u(nl);
-  return fault::simulate_comb(nl, u.collapsed(), ps, obs).percent();
+  return fault::simulate_comb_parallel(nl, u.collapsed(), ps, obs).percent();
 }
 
 double grade_seq(const Netlist& nl, const fault::SeqStimulus& seq) {
   fault::FaultUniverse u(nl);
-  return fault::simulate_seq(nl, u.collapsed(), seq).percent();
+  return fault::simulate_seq_parallel(nl, u.collapsed(), seq).percent();
 }
 
 // ---- set-size scaling (constant or linear, paper §1/§3.3) ------------------

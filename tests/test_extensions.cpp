@@ -6,6 +6,7 @@
 #include "core/evaluate.hpp"
 #include "core/program.hpp"
 #include "fault/sim.hpp"
+#include "fault/sim_parallel.hpp"
 #include "netlist/export.hpp"
 #include "rtlgen/alu.hpp"
 #include "rtlgen/divider.hpp"
@@ -26,14 +27,14 @@ fault::Fault transition_fault(NetId gate, bool slow_to_rise) {
           fault::FaultModel::kTransition};
 }
 
-// Detected count from the serial oracle, after checking the block engine
-// grades every fault identically.
+// Detected count from the serial oracle, after checking the production
+// grader grades every fault identically.
 std::size_t transition_detected(const Netlist& nl,
                                 const std::vector<fault::Fault>& faults,
                                 const fault::PatternSet& ps) {
   const fault::CoverageResult serial = fault::simulate_serial(nl, faults, ps);
   EXPECT_EQ(serial.detected_flags,
-            fault::simulate_comb(nl, faults, ps).detected_flags);
+            fault::simulate_comb_parallel(nl, faults, ps).detected_flags);
   return serial.detected;
 }
 
@@ -103,7 +104,7 @@ TEST(TransitionFaults, CoverageBoundedByStuckAt) {
   Rng rng(3);
   fault::PatternSet ps(nl);
   for (int i = 0; i < 200; ++i) ps.add_random(rng);
-  const auto sa = fault::simulate_comb(nl, stuck.collapsed(), ps);
+  const auto sa = fault::simulate_comb_parallel(nl, stuck.collapsed(), ps);
   const fault::FaultUniverse transition(nl, fault::FaultModel::kTransition);
   const std::size_t tr = transition_detected(nl, transition.collapsed(), ps);
   ASSERT_EQ(transition.size(), stuck.size());
@@ -171,15 +172,13 @@ TEST(Export, NamesAreSanitized) {
 
 TEST(AvcRoutine, ImprovesMemCtrlCoverageAtCacheCost) {
   core::ProcessorModel model;
-  core::CodegenOptions opts;
-
   core::TestProgramBuilder base;
-  base.add(core::make_memctrl_routine(opts));
+  base.add(core::make_memctrl_routine());
   const core::TestProgram p_base = base.build();
 
   core::TestProgramBuilder extended;
-  extended.add(core::make_memctrl_routine(opts));
-  extended.add(core::make_avc_address_routine(opts, 21));
+  extended.add(core::make_memctrl_routine());
+  extended.add(core::make_avc_address_routine(21));
   const core::TestProgram p_ext = extended.build();
 
   core::EvalOptions eval;
@@ -198,12 +197,11 @@ TEST(AvcRoutine, ImprovesMemCtrlCoverageAtCacheCost) {
 }
 
 TEST(AvcRoutine, DistributedReferencesDefeatCacheLocality) {
-  core::CodegenOptions opts;
   core::TestProgramBuilder b;
   const core::TestProgram avc =
-      b.build_standalone(core::make_avc_address_routine(opts, 19));
+      b.build_standalone(core::make_avc_address_routine(19));
   const core::TestProgram mem =
-      b.build_standalone(core::make_memctrl_routine(opts));
+      b.build_standalone(core::make_memctrl_routine());
   sim::CpuConfig cfg;
   cfg.mem_bytes = 1u << 21;
   cfg.dcache = {.enabled = true, .line_words = 4, .lines = 64,
@@ -265,7 +263,7 @@ TEST(Compaction, XorVariantRunsAndDiffersFromMisr) {
   core::TestProgramBuilder b;
   auto run = [&](core::Compaction c) {
     const core::TestProgram p = b.build_standalone(
-        core::make_fig1_immediate_routine(tests, {}, c));
+        core::make_fig1_immediate_routine(tests, c));
     sim::Cpu cpu;
     cpu.reset();
     cpu.load(p.image);
@@ -282,8 +280,7 @@ TEST(Compaction, XorVariantRunsAndDiffersFromMisr) {
                                            0x2222);
   const std::uint32_t r2 = rtlgen::alu_ref(rtlgen::AluOp::kXor, 0xaaaa,
                                            0x5555);
-  core::CodegenOptions opts;
-  EXPECT_EQ(x, opts.misr_seed ^ r1 ^ r2);
+  EXPECT_EQ(x, core::kMisrSeed ^ r1 ^ r2);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "fault/fault.hpp"
 #include "fault/pattern.hpp"
 #include "fault/sim.hpp"
+#include "fault/sim_parallel.hpp"
 #include "rtlgen/alu.hpp"
 #include "rtlgen/divider.hpp"
 #include "rtlgen/shifter.hpp"
@@ -16,6 +17,15 @@ namespace {
 
 using netlist::Netlist;
 using netlist::NetId;
+
+// Block PPSFP on the calling thread and the reference engine: the fast
+// path these tests pin against the serial oracle.
+const SimOptions kBlocks{.num_threads = 1,
+                         .lane_parallel = false,
+                         .engine = Engine::kReference};
+// Lane-packed sequential grading on the calling thread and the reference
+// engine.
+const SimOptions kSeqRef{.num_threads = 1, .engine = Engine::kReference};
 
 // c17-style tiny benchmark circuit: irredundant, fully testable.
 Netlist make_c17() {
@@ -71,7 +81,8 @@ TEST(FaultUniverse, C17FullyTestableByExhaustiveSet) {
   const Netlist nl = make_c17();
   FaultUniverse u(nl);
   const PatternSet ps = exhaustive_patterns(nl);
-  const CoverageResult res = simulate_comb(nl, u.collapsed(), ps);
+  const CoverageResult res =
+      simulate_comb_parallel(nl, u.collapsed(), ps, {}, kBlocks);
   EXPECT_EQ(res.detected, res.total);
   EXPECT_DOUBLE_EQ(res.percent(), 100.0);
 }
@@ -96,7 +107,8 @@ TEST(FaultSim, SerialAndPpsfpAgreeOnC17) {
   PatternSet ps(nl);
   for (int i = 0; i < 10; ++i) ps.add_random(rng);
   const CoverageResult serial = simulate_serial(nl, u.collapsed(), ps);
-  const CoverageResult ppsfp = simulate_comb(nl, u.collapsed(), ps);
+  const CoverageResult ppsfp =
+      simulate_comb_parallel(nl, u.collapsed(), ps, {}, kBlocks);
   ASSERT_EQ(serial.detected_flags.size(), ppsfp.detected_flags.size());
   for (std::size_t i = 0; i < serial.detected_flags.size(); ++i) {
     EXPECT_EQ(serial.detected_flags[i], ppsfp.detected_flags[i])
@@ -111,7 +123,8 @@ TEST(FaultSim, SerialAndPpsfpAgreeOnAlu8) {
   PatternSet ps(nl);
   for (int i = 0; i < 40; ++i) ps.add_random(rng);
   const CoverageResult serial = simulate_serial(nl, u.collapsed(), ps);
-  const CoverageResult ppsfp = simulate_comb(nl, u.collapsed(), ps);
+  const CoverageResult ppsfp =
+      simulate_comb_parallel(nl, u.collapsed(), ps, {}, kBlocks);
   EXPECT_EQ(serial.detected, ppsfp.detected);
   for (std::size_t i = 0; i < serial.detected_flags.size(); ++i) {
     EXPECT_EQ(serial.detected_flags[i], ppsfp.detected_flags[i])
@@ -133,8 +146,10 @@ TEST(FaultSim, ObserveSetRestrictsDetection) {
   FaultUniverse u(nl);
   const PatternSet ps = exhaustive_patterns(nl);
   const ObserveSet only_x{nl.output_port("x")[0]};
-  const CoverageResult partial = simulate_comb(nl, u.collapsed(), ps, only_x);
-  const CoverageResult full = simulate_comb(nl, u.collapsed(), ps);
+  const CoverageResult partial =
+      simulate_comb_parallel(nl, u.collapsed(), ps, only_x, kBlocks);
+  const CoverageResult full =
+      simulate_comb_parallel(nl, u.collapsed(), ps, {}, kBlocks);
   EXPECT_LT(partial.detected, full.detected);
   for (std::size_t i = 0; i < u.size(); ++i) {
     if (u.collapsed()[i].site.gate == y) {
@@ -154,7 +169,8 @@ TEST(FaultSim, ValidLaneMaskPreventsPhantomDetections) {
   FaultUniverse u(nl);
   PatternSet ps(nl);
   ps.add({{"a", 1}, {"b", 1}});  // detects only sa0-class faults
-  const CoverageResult res = simulate_comb(nl, u.collapsed(), ps);
+  const CoverageResult res =
+      simulate_comb_parallel(nl, u.collapsed(), ps, {}, kBlocks);
   for (std::size_t i = 0; i < u.size(); ++i) {
     const Fault& f = u.collapsed()[i];
     if (f.site.gate == x && f.site.is_output()) {
@@ -177,8 +193,10 @@ TEST(FaultSim, SequentialEngineMatchesCombOnCombinationalCircuit) {
     ps.add(assignment);
     seq.add_cycle(assignment, /*observe=*/true);
   }
-  const CoverageResult comb = simulate_comb(nl, u.collapsed(), ps);
-  const CoverageResult sequential = simulate_seq(nl, u.collapsed(), seq);
+  const CoverageResult comb =
+      simulate_comb_parallel(nl, u.collapsed(), ps, {}, kBlocks);
+  const CoverageResult sequential =
+      simulate_seq_parallel(nl, u.collapsed(), seq, {}, kSeqRef);
   EXPECT_EQ(comb.detected, sequential.detected);
   for (std::size_t i = 0; i < comb.detected_flags.size(); ++i) {
     EXPECT_EQ(comb.detected_flags[i], sequential.detected_flags[i]);
@@ -204,7 +222,8 @@ TEST(FaultSim, SequentialDividerDetectsDatapathFaults) {
     // like the mflo/mfhi that follows a div instruction.
     seq.add_cycle({{"start", 0}}, true);
   }
-  const CoverageResult res = simulate_seq(nl, u.collapsed(), seq);
+  const CoverageResult res =
+      simulate_seq_parallel(nl, u.collapsed(), seq, {}, kSeqRef);
   // The datapath is well exercised; expect solid (not necessarily full)
   // coverage from just 8 divisions observed only at their final results.
   EXPECT_GT(res.percent(), 65.0);
@@ -217,31 +236,14 @@ TEST(FaultSim, MergeAccumulatesAcrossRoutines) {
   PatternSet p1(nl), p2(nl);
   p1.add({{"i1", 1}, {"i2", 0}, {"i3", 1}, {"i4", 0}, {"i5", 1}});
   p2.add({{"i1", 0}, {"i2", 1}, {"i3", 0}, {"i4", 1}, {"i5", 0}});
-  CoverageResult r1 = simulate_comb(nl, u.collapsed(), p1);
-  const CoverageResult r2 = simulate_comb(nl, u.collapsed(), p2);
+  CoverageResult r1 =
+      simulate_comb_parallel(nl, u.collapsed(), p1, {}, kBlocks);
+  const CoverageResult r2 =
+      simulate_comb_parallel(nl, u.collapsed(), p2, {}, kBlocks);
   const std::size_t d1 = r1.detected;
   r1.merge(r2);
   EXPECT_GE(r1.detected, d1);
   EXPECT_GE(r1.detected, r2.detected);
-}
-
-TEST(FaultSim, GoodResponsesMatchEvaluator) {
-  const Netlist nl = rtlgen::build_shifter({.width = 8});
-  Rng rng(21);
-  PatternSet ps(nl);
-  for (int i = 0; i < 100; ++i) ps.add_random(rng);
-  const auto responses = good_responses(nl, ps);
-  ASSERT_EQ(responses.size(), 100u);
-  // Cross-check pattern 37 against a direct evaluation.
-  netlist::Evaluator ev(nl);
-  ev.set_bus(nl.input_port("a"), ps.value_of(37, "a"));
-  ev.set_bus(nl.input_port("shamt"), ps.value_of(37, "shamt"));
-  ev.set_bus(nl.input_port("op"), ps.value_of(37, "op"));
-  ev.eval();
-  const auto outs = nl.output_nets();
-  for (std::size_t o = 0; o < outs.size(); ++o) {
-    EXPECT_EQ(responses[37][o], (ev.value(outs[o]) & 1u) != 0);
-  }
 }
 
 TEST(CoverageResult, PercentHandlesEmpty) {

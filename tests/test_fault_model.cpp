@@ -204,7 +204,6 @@ TEST(FaultModelRouting, MixedModelListsThrow) {
   const FaultUniverse u(nl);
   std::vector<Fault> mixed = {u.collapsed()[0], u.collapsed()[1]};
   mixed[1].model = FaultModel::kTransientSEU;
-  EXPECT_THROW(simulate_comb(nl, mixed, ps), std::invalid_argument);
   EXPECT_THROW(simulate_comb_parallel(nl, mixed, ps), std::invalid_argument);
 }
 
@@ -213,43 +212,9 @@ TEST(FaultModelRouting, TransitionFaultsAreCombinationalOnly) {
   Rng rng(0x12);
   const SeqStimulus st = random_stimulus(rng, nl, 8);
   FaultUniverse u(nl, FaultModel::kTransition);
-  EXPECT_THROW(simulate_seq(nl, u.collapsed(), st), std::invalid_argument);
   EXPECT_THROW(simulate_serial(nl, u.collapsed(), st), std::invalid_argument);
   EXPECT_THROW(simulate_seq_parallel(nl, u.collapsed(), st),
                std::invalid_argument);
-}
-
-TEST(FaultModelRouting, IncrementalGradingIsBatchAdditiveForStuckAtOnly) {
-  const Netlist nl = rtlgen::build_comparator();
-  Rng rng(0x13);
-  PatternSet all(nl), first(nl), second(nl);
-  for (int p = 0; p < 96; ++p) {
-    std::vector<PortValue> values;
-    for (const netlist::Port& port : nl.input_ports()) {
-      values.emplace_back(port.name, rng.next64());
-    }
-    all.add(values);
-    (p < 37 ? first : second).add(values);
-  }
-  const EngineContext ctx(Engine::kEvent, nl, {});
-
-  const FaultUniverse sa(nl);
-  std::vector<std::uint8_t> flags(sa.size(), 0);
-  simulate_comb_into(ctx, sa.collapsed(), first, flags.data());
-  simulate_comb_into(ctx, sa.collapsed(), second, flags.data());
-  EXPECT_EQ(flags, simulate_serial(nl, sa.collapsed(), all).detected_flags);
-
-  // Activation indices and launch/capture pairs restart with every batch,
-  // so split batches of any other model would not match a one-shot grading.
-  for (const FaultModel model :
-       {FaultModel::kTransition, FaultModel::kTransientSEU,
-        FaultModel::kIntermittent}) {
-    const FaultUniverse u(nl, model);
-    std::vector<std::uint8_t> none(u.size(), 0);
-    EXPECT_THROW(simulate_comb_into(ctx, u.collapsed(), first, none.data()),
-                 std::invalid_argument)
-        << fault_model_name(model);
-  }
 }
 
 // ---- transition grading: production kernels vs the serial oracle -----------
@@ -279,10 +244,15 @@ TEST(TransitionDifferential, MatchesLegacyOracleOnEveryRtlgenComponent) {
     const CoverageResult oracle = simulate_serial(c.nl, u.collapsed(), ps);
     EXPECT_GT(oracle.detected, 0u) << c.name;
 
-    // Single-threaded front doors: the block kernel, and the serial oracle
-    // itself on the event engine at both lane widths.
-    expect_same_flags(oracle, simulate_comb(c.nl, u.collapsed(), ps), c.nl,
-                      u.collapsed(), c.name);
+    // Single-threaded front doors: the block schedule on the reference
+    // engine, and the serial oracle itself on the event engine at both lane
+    // widths.
+    expect_same_flags(oracle,
+                      simulate_comb_parallel(c.nl, u.collapsed(), ps, {},
+                                             {.num_threads = 1,
+                                              .lane_parallel = false,
+                                              .engine = Engine::kReference}),
+                      c.nl, u.collapsed(), c.name);
     for (const unsigned lanes : {1u, 4u}) {
       const std::string label =
           std::string(c.name) + "/serial/event/l" + std::to_string(lanes);

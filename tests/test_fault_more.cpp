@@ -6,6 +6,7 @@
 #include "fault/fault.hpp"
 #include "fault/pattern.hpp"
 #include "fault/sim.hpp"
+#include "fault/sim_parallel.hpp"
 #include "rtlgen/divider.hpp"
 #include "rtlgen/regfile.hpp"
 
@@ -14,6 +15,13 @@ namespace {
 
 using netlist::Netlist;
 using netlist::NetId;
+
+// Block PPSFP and lane-packed sequential grading on the calling thread and
+// the reference engine.
+const SimOptions kBlocks{.num_threads = 1,
+                         .lane_parallel = false,
+                         .engine = Engine::kReference};
+const SimOptions kSeqRef{.num_threads = 1, .engine = Engine::kReference};
 
 TEST(PatternSet, MultiBlockRoundTrip) {
   Netlist nl;
@@ -106,7 +114,8 @@ TEST(CoverageResult, UndetectedListsExactlyTheMisses) {
   FaultUniverse u(nl);
   PatternSet ps(nl);
   ps.add({{"a", 1}, {"b", 1}});  // catches the sa0 class only
-  const CoverageResult res = simulate_comb(nl, u.collapsed(), ps);
+  const CoverageResult res =
+      simulate_comb_parallel(nl, u.collapsed(), ps, {}, kBlocks);
   const auto missing = res.undetected(u.collapsed());
   EXPECT_EQ(missing.size(), res.total - res.detected);
   for (const Fault& f : missing) {
@@ -125,13 +134,14 @@ TEST(FaultSim, SequentialBatchBoundaries) {
   for (int i = 0; i < 4; ++i) seq.add_cycle({{"start", 0}}, false);
   seq.add_cycle({{"start", 0}}, true);
 
-  const CoverageResult whole = simulate_seq(nl, u.collapsed(), seq);
+  const CoverageResult whole =
+      simulate_seq_parallel(nl, u.collapsed(), seq, {}, kSeqRef);
   const std::vector<Fault> first(u.collapsed().begin(),
                                  u.collapsed().begin() + 100);
   const std::vector<Fault> second(u.collapsed().begin() + 100,
                                   u.collapsed().end());
-  const CoverageResult r1 = simulate_seq(nl, first, seq);
-  const CoverageResult r2 = simulate_seq(nl, second, seq);
+  const CoverageResult r1 = simulate_seq_parallel(nl, first, seq, {}, kSeqRef);
+  const CoverageResult r2 = simulate_seq_parallel(nl, second, seq, {}, kSeqRef);
   EXPECT_EQ(whole.detected, r1.detected + r2.detected);
 }
 
@@ -141,7 +151,8 @@ TEST(FaultSim, ThrowsOnNetlistWithoutOutputs) {
   FaultUniverse u(nl);
   PatternSet ps(nl);
   ps.add({{"a", 1}});
-  EXPECT_THROW(simulate_comb(nl, u.collapsed(), ps), std::invalid_argument);
+  EXPECT_THROW(simulate_comb_parallel(nl, u.collapsed(), ps, {}, kBlocks),
+               std::invalid_argument);
 }
 
 TEST(FaultSim, CombEngineRejectsSequentialNetlist) {
@@ -149,7 +160,8 @@ TEST(FaultSim, CombEngineRejectsSequentialNetlist) {
   FaultUniverse u(nl);
   PatternSet ps(nl);
   ps.add({{"start", 1}});
-  EXPECT_THROW(simulate_comb(nl, u.collapsed(), ps), std::invalid_argument);
+  EXPECT_THROW(simulate_comb_parallel(nl, u.collapsed(), ps, {}, kBlocks),
+               std::invalid_argument);
   EXPECT_THROW(simulate_serial(nl, u.collapsed(), ps),
                std::invalid_argument);
 }

@@ -35,6 +35,13 @@ using netlist::GateKind;
 using netlist::NetId;
 using netlist::Netlist;
 
+// Block PPSFP and lane-packed sequential grading on the calling thread and
+// the reference engine.
+const SimOptions kBlocksRef{.num_threads = 1,
+                            .lane_parallel = false,
+                            .engine = Engine::kReference};
+const SimOptions kSeqRef{.num_threads = 1, .engine = Engine::kReference};
+
 // ---- seeded random circuit / stimulus generators ---------------------------
 
 /// Random combinational netlist: every gate's fan-in comes from earlier nets,
@@ -164,8 +171,9 @@ TEST(FaultParallel, CombDifferentialRandomNetlists) {
 
     const CoverageResult oracle = simulate_serial(nl, faults, ps);
     expect_invariant(oracle);
-    expect_same_flags(oracle, simulate_comb(nl, faults, ps), nl, faults,
-                      "simulate_comb");
+    expect_same_flags(oracle,
+                      simulate_comb_parallel(nl, faults, ps, {}, kBlocksRef),
+                      nl, faults, "blocks/reference");
     for (unsigned threads : {1u, 2u, 8u}) {
       for (bool lanes : {false, true}) {
         const SimOptions opt{.num_threads = threads, .lane_parallel = lanes};
@@ -190,8 +198,9 @@ TEST(FaultParallel, SeqDifferentialRandomNetlists) {
 
     const CoverageResult oracle = simulate_serial(nl, faults, st);
     expect_invariant(oracle);
-    expect_same_flags(oracle, simulate_seq(nl, faults, st), nl, faults,
-                      "simulate_seq");
+    expect_same_flags(oracle,
+                      simulate_seq_parallel(nl, faults, st, {}, kSeqRef), nl,
+                      faults, "seq/reference");
     for (unsigned threads : {1u, 2u, 8u}) {
       const CoverageResult got = simulate_seq_parallel(
           nl, faults, st, {}, {.num_threads = threads});
@@ -230,8 +239,9 @@ TEST(FaultParallel, PatternCountsAroundLaneBoundary) {
     Rng prng(1000 + n_patterns);
     const PatternSet ps = random_patterns(prng, nl, n_patterns);
     const CoverageResult oracle = simulate_serial(nl, faults, ps);
-    expect_same_flags(oracle, simulate_comb(nl, faults, ps), nl, faults,
-                      "simulate_comb");
+    expect_same_flags(oracle,
+                      simulate_comb_parallel(nl, faults, ps, {}, kBlocksRef),
+                      nl, faults, "blocks/reference");
     for (bool lanes : {false, true}) {
       const CoverageResult got = simulate_comb_parallel(
           nl, faults, ps, {}, {.num_threads = 2, .lane_parallel = lanes});
@@ -310,8 +320,9 @@ TEST(FaultParallel, ObserveSetRestrictedToOneOutput) {
   const CoverageResult oracle = simulate_serial(nl, u.collapsed(), ps, narrow);
   const CoverageResult full = simulate_serial(nl, u.collapsed(), ps);
   EXPECT_LT(oracle.detected, full.detected);  // restriction must bite
-  expect_same_flags(oracle, simulate_comb(nl, u.collapsed(), ps, narrow), nl,
-                    u.collapsed(), "simulate_comb/narrow");
+  expect_same_flags(
+      oracle, simulate_comb_parallel(nl, u.collapsed(), ps, narrow, kBlocksRef),
+      nl, u.collapsed(), "blocks/reference/narrow");
   for (bool lanes : {false, true}) {
     const CoverageResult got = simulate_comb_parallel(
         nl, u.collapsed(), ps, narrow,

@@ -4,7 +4,7 @@
 #include "core/march.hpp"
 #include "core/periodic.hpp"
 #include "core/program.hpp"
-#include "fault/sim.hpp"
+#include "fault/sim_parallel.hpp"
 #include "rtlgen/regfile.hpp"
 #include "sim/cpu.hpp"
 
@@ -43,7 +43,7 @@ TEST_P(MarchAlgorithmTest, ReachesSolidCoverageOnSmallRegfile) {
   fault::FaultUniverse u(rf);
   const auto seq = march_regfile_stimulus(rf, *GetParam(), 1, 7,
                                           {0x00000000u, 0x55555555u});
-  const auto cov = fault::simulate_seq(rf, u.collapsed(), seq);
+  const auto cov = fault::simulate_seq_parallel(rf, u.collapsed(), seq);
   EXPECT_GT(cov.percent(), 80.0) << GetParam()->name;
 }
 
@@ -65,7 +65,7 @@ TEST(March, StrongerAlgorithmsCoverMore) {
   fault::FaultUniverse u(rf);
   auto fc = [&](const MarchAlgorithm& a) {
     const auto seq = march_regfile_stimulus(rf, a, 1, 7, {0u});
-    return fault::simulate_seq(rf, u.collapsed(), seq).percent();
+    return fault::simulate_seq_parallel(rf, u.collapsed(), seq).percent();
   };
   EXPECT_LE(fc(mats_plus()), fc(march_c_minus()) + 1e-9);
 }
@@ -73,7 +73,7 @@ TEST(March, StrongerAlgorithmsCoverMore) {
 TEST(March, RoutineRunsAndIsStallFree) {
   TestProgramBuilder builder;
   const TestProgram p = builder.build_standalone(
-      make_march_regfile_routine(march_x(), {}));
+      make_march_regfile_routine(march_x()));
   sim::Cpu cpu;
   cpu.reset();
   cpu.load(p.image);

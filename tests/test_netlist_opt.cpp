@@ -217,8 +217,11 @@ TEST(NetlistOpt, FaultOnSweptGateStaysProvablyUnobservable) {
   // fanout. The optimized engine must agree flag-for-flag — including
   // returning a well-defined (undetected) grade for faults whose host gate
   // was swept from the evaluation order.
-  const CoverageResult ref =
-      fault::simulate_comb(nl, u.collapsed(), ps, {}, Engine::kReference);
+  const CoverageResult ref = fault::simulate_comb_parallel(
+      nl, u.collapsed(), ps, {},
+      {.num_threads = 1,
+       .lane_parallel = false,
+       .engine = Engine::kReference});
   const CoverageResult opt = grade(nl, u.collapsed(), ps, true);
   EXPECT_EQ(ref.detected_flags, opt.detected_flags);
 

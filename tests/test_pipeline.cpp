@@ -132,27 +132,26 @@ class CrossValidation
 
 TEST_P(CrossValidation, RoutineProducesIdenticalArchitecturalState) {
   static core::ProcessorModel model;
-  core::CodegenOptions opts;
   core::Routine routine;
   switch (GetParam()) {
-    case core::CutId::kAlu: routine = core::make_alu_routine(opts); break;
+    case core::CutId::kAlu: routine = core::make_alu_routine(); break;
     case core::CutId::kShifter:
-      routine = core::make_shifter_routine(model, opts);
+      routine = core::make_shifter_routine(model);
       break;
     case core::CutId::kMultiplier:
-      routine = core::make_multiplier_routine(opts);
+      routine = core::make_multiplier_routine();
       break;
     case core::CutId::kDivider:
-      routine = core::make_divider_routine(opts);
+      routine = core::make_divider_routine();
       break;
     case core::CutId::kRegisterFile:
-      routine = core::make_regfile_routine(opts);
+      routine = core::make_regfile_routine();
       break;
     case core::CutId::kMemCtrl:
-      routine = core::make_memctrl_routine(opts);
+      routine = core::make_memctrl_routine();
       break;
     default:
-      routine = core::make_control_routine(opts);
+      routine = core::make_control_routine();
   }
   core::TestProgramBuilder builder;
   const core::TestProgram p = builder.build_standalone(routine);

@@ -67,30 +67,29 @@ class NoForwardingRoutine : public ::testing::TestWithParam<int> {};
 
 TEST_P(NoForwardingRoutine, ScheduledProgramIsStallFreeWithoutForwarding) {
   static ProcessorModel model;
-  CodegenOptions opts;
-  auto make = [&](const CodegenOptions& o) -> Routine {
+  auto make = [&]() -> Routine {
     switch (GetParam()) {
-      case 0: return make_alu_routine(o);
-      case 1: return make_multiplier_routine(o);
-      case 2: return make_divider_routine(o);
-      case 3: return make_memctrl_routine(o);
-      default: return make_control_routine(o);
+      case 0: return make_alu_routine();
+      case 1: return make_multiplier_routine();
+      case 2: return make_divider_routine();
+      case 3: return make_memctrl_routine();
+      default: return make_control_routine();
     }
   };
 
   // Reference signatures: plain build on the forwarding CPU.
-  TestProgramBuilder plain(opts);
-  const TestProgram p_fw = plain.build_standalone(make(opts));
+  TestProgramBuilder plain;
+  const TestProgram p_fw = plain.build_standalone(make());
   sim::Cpu fw_cpu;
   fw_cpu.reset();
   fw_cpu.load(p_fw.image);
   ASSERT_TRUE(fw_cpu.run(p_fw.entry).halted);
 
   // Scheduled build on the no-forwarding CPU.
-  CodegenOptions scheduled = opts;
+  CodegenOptions scheduled;
   scheduled.schedule_for_no_forwarding = true;
   TestProgramBuilder sched(scheduled);
-  const TestProgram p_nf = sched.build_standalone(make(opts));
+  const TestProgram p_nf = sched.build_standalone(make());
   sim::CpuConfig cfg;
   cfg.forwarding = false;
   sim::Cpu nf_cpu(cfg);

@@ -27,8 +27,8 @@ struct Fixture {
   TestProgramBuilder builder;
   TestProgram program;
   Fixture() {
-    builder.add(make_alu_routine({}));
-    builder.add(make_memctrl_routine({}));
+    builder.add(make_alu_routine());
+    builder.add(make_memctrl_routine());
     program = builder.build();
   }
 };

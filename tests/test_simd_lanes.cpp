@@ -352,8 +352,11 @@ TEST(SimdLanes, SessionGradingIdenticalAcrossLanesThreadsAndCache) {
     const fault::ObserveSet& obs =
         session.observe(id, core::ObserveMode::kFullNetlist);
     if (oracle_flags.empty()) {
-      oracle_flags = fault::simulate_comb(nl, u.collapsed(), ps, obs,
-                                          Engine::kReference)
+      oracle_flags = fault::simulate_comb_parallel(
+                         nl, u.collapsed(), ps, obs,
+                         {.num_threads = 1,
+                          .lane_parallel = false,
+                          .engine = Engine::kReference})
                          .detected_flags;
     }
     for (unsigned lanes : {1u, 4u}) {

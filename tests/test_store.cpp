@@ -433,7 +433,7 @@ TEST(ArtifactCodec, CompiledNetlistRoundTripAcrossOptions) {
 
 TEST(ArtifactCodec, DecodedProgramRoundTrip) {
   TestProgramBuilder builder;
-  builder.add(make_alu_routine({}));
+  builder.add(make_alu_routine());
   const TestProgram program = builder.build();
   const isa::DecodedProgram original(program.image);
 
@@ -486,8 +486,8 @@ struct Fixture {
   TestProgramBuilder builder;
   TestProgram program;
   Fixture() {
-    builder.add(make_alu_routine({}));
-    builder.add(make_memctrl_routine({}));
+    builder.add(make_alu_routine());
+    builder.add(make_memctrl_routine());
     program = builder.build();
   }
 };

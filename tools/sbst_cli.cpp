@@ -171,15 +171,14 @@ bool parse_cut(const char* arg, CutId& out) {
 }
 
 Routine make_routine(const ProcessorModel& model, CutId cut) {
-  const CodegenOptions opts;
   switch (cut) {
-    case CutId::kMultiplier: return make_multiplier_routine(opts);
-    case CutId::kDivider: return make_divider_routine(opts);
-    case CutId::kRegisterFile: return make_regfile_routine(opts);
-    case CutId::kMemCtrl: return make_memctrl_routine(opts);
-    case CutId::kShifter: return make_shifter_routine(model, opts);
-    case CutId::kAlu: return make_alu_routine(opts);
-    default: return make_control_routine(opts);
+    case CutId::kMultiplier: return make_multiplier_routine();
+    case CutId::kDivider: return make_divider_routine();
+    case CutId::kRegisterFile: return make_regfile_routine();
+    case CutId::kMemCtrl: return make_memctrl_routine();
+    case CutId::kShifter: return make_shifter_routine(model);
+    case CutId::kAlu: return make_alu_routine();
+    default: return make_control_routine();
   }
 }
 
